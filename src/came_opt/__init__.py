@@ -23,12 +23,8 @@ from .optimizers import (
     InvalidConfig,
     OptimizerConfig,
     OptimizerState,
-    adafactor_step,
-    adam_step,
-    came_step,
     clip_by_rms,
     make_state,
-    raw_confidence_step,
     state_element_count,
     step_param,
     warmup_lr,
@@ -47,6 +43,6 @@ from .problems import (
     make_rosenbrock,
     rng_from_seed,
 )
-from .tensor import Matrix, col_sums, ewise, matrix, outer_quotient, rms, row_sums
+from .tensor import Matrix, col_sums, outer_quotient, rms, row_sums
 
 __version__ = "0.1.0"

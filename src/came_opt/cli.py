@@ -85,58 +85,61 @@ def _parse_problem_spec(text: str):
     return name.strip(), args
 
 
-# Option table per subcommand: name -> (parser from string, default).
+# Every option: name -> (flag, parser from string, default, help). The name
+# is also the config-file key and the argparse dest.
 _CFG_DEFAULTS = OptimizerConfig()
 
-_HYPER_OPTS: Dict[str, tuple] = {
-    "lr": (float, _CFG_DEFAULTS.lr),
-    "beta1": (float, _CFG_DEFAULTS.beta1),
-    "beta2": (float, _CFG_DEFAULTS.beta2),
-    "beta3": (float, _CFG_DEFAULTS.beta3),
-    "eps1": (float, _CFG_DEFAULTS.eps1),
-    "eps2": (float, _CFG_DEFAULTS.eps2),
-    "eps3": (float, _CFG_DEFAULTS.eps3),
-    "clip_d": (float, _CFG_DEFAULTS.clip_d),
-    "warmup": (int, _CFG_DEFAULTS.warmup_steps),
+_OPTIONS: Dict[str, tuple] = {
+    "problem": ("--problem", str, None, "problem id, optionally 'id:key=val,...'"),
+    "optimizer": (
+        "--optimizer", str, "came", f"one of {', '.join(VARIANTS)} (comma list for compare)"
+    ),
+    "steps": ("--steps", int, 1000, "number of optimization steps"),
+    "seed": ("--seed", int, 0, "integer seed (PCG64 stream)"),
+    "seeds": ("--seeds", str, "0", "comma-separated seeds for compare"),
+    "threshold": ("--threshold", float, None, "loss threshold for steps-to-threshold"),
+    "out": ("--out", str, None, "output path prefix"),
+    "lr": ("--lr", float, _CFG_DEFAULTS.lr, "learning rate"),
+    "beta1": ("--beta1", float, _CFG_DEFAULTS.beta1, "momentum decay"),
+    "beta2": ("--beta2", float, _CFG_DEFAULTS.beta2, "second-moment decay"),
+    "beta3": ("--beta3", float, _CFG_DEFAULTS.beta3, "instability decay (came)"),
+    "eps1": ("--eps1", float, _CFG_DEFAULTS.eps1, "second-moment regularizer"),
+    "eps2": ("--eps2", float, _CFG_DEFAULTS.eps2, "instability regularizer (came)"),
+    "eps3": ("--eps3", float, _CFG_DEFAULTS.eps3, "raw-confidence regularizer"),
+    "clip_d": ("--clip-d", float, _CFG_DEFAULTS.clip_d, "RMS clip threshold"),
+    "warmup": ("--warmup", int, _CFG_DEFAULTS.warmup_steps, "linear warmup steps"),
+    "strict_determinism": (
+        "--strict-determinism",
+        _parse_bool,
+        False,
+        "omit wall-clock timing from trace and summary (sidecar CSV instead) "
+        "so outputs are byte-identical across reruns",
+    ),
+    "points": ("--points", int, 10, "number of random check points"),
+    "tolerance": ("--tolerance", float, 1e-6, "max allowed relative gradient error"),
+    "manifest": ("--manifest", str, "bert-large", "bundled manifest name or file path"),
+    "baseline": ("--baseline", str, "adam", "baseline optimizer for ratios"),
+    "scale": ("--scale", int, 1, "integer factor applied to every manifest dim"),
+    "width": ("--width", int, 4, "bytes per state element"),
 }
 
-_OPTS: Dict[str, Dict[str, tuple]] = {
-    "run": {
-        "problem": (str, None),
-        "optimizer": (str, "came"),
-        "steps": (int, 1000),
-        "seed": (int, 0),
-        "threshold": (float, None),
-        "out": (str, None),
-        "strict_determinism": (_parse_bool, False),
-        **_HYPER_OPTS,
-    },
-    "compare": {
-        "problem": (str, None),
-        "optimizer": (str, "came,adafactor"),
-        "steps": (int, 1000),
-        "seeds": (str, "0"),
-        "threshold": (float, None),
-        "out": (str, None),
-        **_HYPER_OPTS,
-    },
-    "grad-check": {
-        "problem": (str, None),
-        "points": (int, 10),
-        "tolerance": (float, 1e-6),
-        "seed": (int, 2024),
-    },
-    "memory": {
-        "manifest": (str, "bert-large"),
-        "baseline": (str, "adam"),
-        "scale": (int, 1),
-        "width": (int, 4),
-        "out": (str, None),
-    },
+_HYPER = ("lr", "beta1", "beta2", "beta3", "eps1", "eps2", "eps3", "clip_d", "warmup")
+
+# The options each subcommand takes, in help order, and its own defaults.
+_COMMAND_OPTS: Dict[str, tuple] = {
+    "run": ("problem", "optimizer", "steps", "seed", "threshold", "out", *_HYPER,
+            "strict_determinism"),
+    "compare": ("problem", "optimizer", "steps", "seeds", "threshold", "out", *_HYPER),
+    "grad-check": ("problem", "points", "tolerance", "seed"),
+    "memory": ("manifest", "baseline", "scale", "width", "out"),
+}
+_COMMAND_DEFAULTS: Dict[str, Dict[str, object]] = {
+    "compare": {"optimizer": "came,adafactor"},
+    "grad-check": {"seed": 2024},
 }
 
 
-def _load_config_file(path: str, allowed: Dict[str, tuple]) -> Dict[str, object]:
+def _load_config_file(path: str, allowed: Sequence[str]) -> Dict[str, object]:
     values: Dict[str, object] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -150,7 +153,7 @@ def _load_config_file(path: str, allowed: Dict[str, tuple]) -> Dict[str, object]
             value = value.strip()
             if key not in allowed:
                 raise InvalidConfig(key, f"unknown config key at {path}:{lineno}")
-            parse = allowed[key][0]
+            parse = _OPTIONS[key][1]
             try:
                 values[key] = parse(value)
             except InvalidConfig:
@@ -161,11 +164,12 @@ def _load_config_file(path: str, allowed: Dict[str, tuple]) -> Dict[str, object]
 
 
 def _resolve(args: argparse.Namespace, command: str) -> Dict[str, object]:
-    spec = _OPTS[command]
-    merged = {name: default for name, (_, default) in spec.items()}
+    names = _COMMAND_OPTS[command]
+    merged = {name: _OPTIONS[name][2] for name in names}
+    merged.update(_COMMAND_DEFAULTS.get(command, {}))
     if getattr(args, "config", None):
-        merged.update(_load_config_file(args.config, spec))
-    for name in spec:
+        merged.update(_load_config_file(args.config, names))
+    for name in names:
         flag_value = getattr(args, name, None)
         if flag_value is not None:
             merged[name] = flag_value
@@ -294,34 +298,15 @@ def _emit_error(message: str, field: Optional[str] = None, **extra) -> None:
     print(json.dumps({"error": payload}, sort_keys=True), file=sys.stderr)
 
 
-def _add_common_flags(parser: argparse.ArgumentParser, names: Sequence[str]) -> None:
-    flags: Dict[str, tuple] = {
-        "problem": ("--problem", str, "problem id, optionally 'id:key=val,...'"),
-        "optimizer": ("--optimizer", str, f"one of {', '.join(VARIANTS)} (comma list for compare)"),
-        "steps": ("--steps", int, "number of optimization steps"),
-        "seed": ("--seed", int, "integer seed (PCG64 stream)"),
-        "seeds": ("--seeds", str, "comma-separated seeds for compare"),
-        "threshold": ("--threshold", float, "loss threshold for steps-to-threshold"),
-        "out": ("--out", str, "output path prefix"),
-        "lr": ("--lr", float, "learning rate"),
-        "beta1": ("--beta1", float, "momentum decay"),
-        "beta2": ("--beta2", float, "second-moment decay"),
-        "beta3": ("--beta3", float, "instability decay (came)"),
-        "eps1": ("--eps1", float, "second-moment regularizer"),
-        "eps2": ("--eps2", float, "instability regularizer (came)"),
-        "eps3": ("--eps3", float, "raw-confidence regularizer"),
-        "clip_d": ("--clip-d", float, "RMS clip threshold"),
-        "warmup": ("--warmup", int, "linear warmup steps"),
-        "points": ("--points", int, "number of random check points"),
-        "tolerance": ("--tolerance", float, "max allowed relative gradient error"),
-        "manifest": ("--manifest", str, "bundled manifest name or file path"),
-        "baseline": ("--baseline", str, "baseline optimizer for ratios"),
-        "scale": ("--scale", int, "integer factor applied to every manifest dim"),
-        "width": ("--width", int, "bytes per state element"),
-    }
-    for name in names:
-        flag, typ, help_text = flags[name]
-        parser.add_argument(flag, dest=name, type=typ, default=None, help=help_text)
+def _add_flags(parser: argparse.ArgumentParser, command: str) -> None:
+    for name in _COMMAND_OPTS[command]:
+        flag, parse, _, help_text = _OPTIONS[name]
+        if parse is _parse_bool:
+            parser.add_argument(
+                flag, dest=name, action="store_const", const=True, default=None, help=help_text
+            )
+        else:
+            parser.add_argument(flag, dest=name, type=parse, default=None, help=help_text)
     parser.add_argument("--config", type=str, default=None, help=CONFIG_HELP)
 
 
@@ -338,20 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="train one problem with one optimizer, writing a trace CSV and summary JSON",
         epilog=f"problems: {', '.join(sorted(PROBLEM_BUILDERS))}. {CONFIG_HELP}",
     )
-    _add_common_flags(
-        p_run,
-        ["problem", "optimizer", "steps", "seed", "threshold", "out",
-         "lr", "beta1", "beta2", "beta3", "eps1", "eps2", "eps3", "clip_d", "warmup"],
-    )
-    p_run.add_argument(
-        "--strict-determinism",
-        dest="strict_determinism",
-        action="store_const",
-        const=True,
-        default=None,
-        help="omit wall-clock timing from trace and summary (sidecar CSV instead) "
-        "so outputs are byte-identical across reruns",
-    )
+    _add_flags(p_run, "run")
     p_run.set_defaults(func=_cmd_run)
 
     p_cmp = sub.add_parser(
@@ -360,25 +332,21 @@ def build_parser() -> argparse.ArgumentParser:
         epilog="set CAME_OPT_THREADS>1 to run (optimizer, seed) pairs in parallel. "
         + CONFIG_HELP,
     )
-    _add_common_flags(
-        p_cmp,
-        ["problem", "optimizer", "steps", "seeds", "threshold", "out",
-         "lr", "beta1", "beta2", "beta3", "eps1", "eps2", "eps3", "clip_d", "warmup"],
-    )
+    _add_flags(p_cmp, "compare")
     p_cmp.set_defaults(func=_cmd_compare)
 
     p_grad = sub.add_parser(
         "grad-check",
         help="compare analytic gradients against central finite differences",
     )
-    _add_common_flags(p_grad, ["problem", "points", "tolerance", "seed"])
+    _add_flags(p_grad, "grad-check")
     p_grad.set_defaults(func=_cmd_grad_check)
 
     p_mem = sub.add_parser(
         "memory",
         help="render the optimizer-state memory report for a shape manifest",
     )
-    _add_common_flags(p_mem, ["manifest", "baseline", "scale", "width", "out"])
+    _add_flags(p_mem, "memory")
     p_mem.set_defaults(func=_cmd_memory)
     return parser
 

@@ -1,13 +1,15 @@
-"""The optimizer family behind one stepping interface.
+"""The optimizer family behind one stepping interface, `step_param`.
 
-Four variants share a single update pipeline:
+adafactor, came and raw_confidence share one update pipeline (fold g^2 into
+the second moment, reconstruct it, normalize, RMS-clip, momentum) and differ
+only in the denominator of the final step:
 
-  adafactor       factored second moment, RMS-clipped update, momentum step
-  came            adafactor pipeline plus a confidence denominator built from
-                  a factored average of the squared residual (u_hat - m)^2
-  raw_confidence  adafactor pipeline, step m / sqrt((m - u_hat)^2 + eps3)
-                  with the full unfactored residual
-  adam            classic bias-corrected first/second moments (baseline)
+  adafactor       none: step lr * m
+  came            sqrt of a factored average of the instability (u_hat - m)^2
+  raw_confidence  sqrt((m - u_hat)^2 + eps3), the full unfactored residual
+
+adam (classic bias-corrected first/second moments, the baseline) is a
+separate short branch.
 
 All parameters are 2-D float64 matrices; a logically 1-D parameter of n
 entries is stored as an n x 1 column and uses unfactored accumulators, so
@@ -31,7 +33,7 @@ from .factored_moment import (
     full_reconstruct,
     full_update,
 )
-from .tensor import Matrix, rms
+from .tensor import Matrix, rms, storage_shape
 
 VARIANTS = ("adafactor", "came", "adam", "raw_confidence")
 
@@ -102,15 +104,6 @@ class OptimizerState:
     t: int = 0
 
 
-def storage_shape(dims: Tuple[int, ...]) -> Tuple[int, int]:
-    """Map logical dims to the 2-D storage shape (1-D becomes a column)."""
-    if len(dims) == 1:
-        return (dims[0], 1)
-    if len(dims) == 2:
-        return (dims[0], dims[1])
-    raise ValueError(f"parameters must be 1-D or 2-D, got dims {dims}")
-
-
 def make_state(variant: str, dims: Tuple[int, ...], cfg: OptimizerConfig) -> OptimizerState:
     """Zero-initialized state for one parameter of the given logical dims."""
     if variant not in VARIANTS:
@@ -166,17 +159,6 @@ def _acc_reconstruct(acc: Accumulator) -> Matrix:
     return full_reconstruct(acc)
 
 
-def _check_step_inputs(theta: Matrix, g: Matrix, state: OptimizerState, variant: str) -> None:
-    if state.variant != variant:
-        raise ValueError(f"state is for {state.variant!r}, not {variant!r}")
-    expected = storage_shape(state.dims)
-    if theta.shape != expected or g.shape != expected:
-        raise ValueError(
-            f"shape mismatch: state expects {expected}, "
-            f"got theta {theta.shape} and gradient {g.shape}"
-        )
-
-
 def _require_positive(denom: Matrix, what: str) -> Matrix:
     # guaranteed by the epsilon floors; only reachable when they are set to 0
     if np.any(denom <= 0.0):
@@ -184,103 +166,51 @@ def _require_positive(denom: Matrix, what: str) -> Matrix:
     return denom
 
 
-def _moment_pipeline(g: Matrix, state: OptimizerState, cfg: OptimizerConfig):
-    """Shared lines of the factored variants, computed without touching state.
+def step_param(theta: Matrix, g: Matrix, state: OptimizerState, cfg: OptimizerConfig) -> Matrix:
+    """One step of the state's variant; returns the new theta.
 
-    Returns (new second moment, u_hat, new momentum). Folds g^2 into the
-    second-moment accumulator, reconstructs the surrogate v, normalizes the
-    gradient by sqrt(v), clips by RMS, and advances the momentum.
+    Every candidate value is computed before the state is touched, so a step
+    that raises leaves the state as it was.
     """
+    expected = storage_shape(state.dims)
+    if theta.shape != expected or g.shape != expected:
+        raise ValueError(
+            f"shape mismatch: state expects {expected}, "
+            f"got theta {theta.shape} and gradient {g.shape}"
+        )
+    t_next = state.t + 1
+    lr = warmup_lr(t_next, cfg)
+
+    if state.variant == "adam":
+        m_new = cfg.beta1 * state.m + (1.0 - cfg.beta1) * g
+        v_new = cfg.beta2 * state.adam_v + (1.0 - cfg.beta2) * np.square(g)
+        m_hat = m_new / (1.0 - cfg.beta1**t_next)
+        v_hat = v_new / (1.0 - cfg.beta2**t_next)
+        theta_new = theta - lr * (m_hat / (np.sqrt(v_hat) + cfg.adam_eps))
+        state.m, state.adam_v, state.t = m_new, v_new, t_next
+        return theta_new
+
+    # adafactor pipeline: fold g^2, reconstruct v, normalize, clip, momentum
     sm = _acc_update(state.second_moment, np.square(g))
     v = _require_positive(_acc_reconstruct(sm), "second-moment surrogate")
-    u = g / np.sqrt(v)
-    u_hat = clip_by_rms(u, cfg.clip_d)
+    u_hat = clip_by_rms(g / np.sqrt(v), cfg.clip_d)
+    del v  # alive through the denominator, it would add n x m to the step peak
     m_new = cfg.beta1 * state.m + (1.0 - cfg.beta1) * u_hat
-    return sm, u_hat, m_new
 
+    instab = state.instability
+    if state.variant == "came":
+        m_ref = state.m if cfg.came_residual_vs_prev else m_new
+        instab = _acc_update(instab, np.square(u_hat - m_ref))
+        s = _require_positive(_acc_reconstruct(instab), "instability surrogate")
+        theta_new = theta - lr * (m_new / np.sqrt(s))
+    elif state.variant == "raw_confidence":
+        residual = _require_positive(np.square(m_new - u_hat) + cfg.eps3, "confidence denominator")
+        theta_new = theta - lr * (m_new / np.sqrt(residual))
+    else:
+        theta_new = theta - lr * m_new
 
-def adafactor_step(
-    theta: Matrix, g: Matrix, state: OptimizerState, cfg: OptimizerConfig
-) -> Matrix:
-    """One memory-efficient step: theta - lr_t * m after the shared pipeline."""
-    _check_step_inputs(theta, g, state, "adafactor")
-    t_next = state.t + 1
-    sm, _, m_new = _moment_pipeline(g, state, cfg)
-    theta_new = theta - warmup_lr(t_next, cfg) * m_new
-
-    state.second_moment = sm
-    state.m = m_new
-    state.t = t_next
+    state.second_moment, state.instability, state.m, state.t = sm, instab, m_new, t_next
     return theta_new
-
-
-def came_step(theta: Matrix, g: Matrix, state: OptimizerState, cfg: OptimizerConfig) -> Matrix:
-    """One confidence-guided step: theta - lr_t * m / sqrt(S).
-
-    S is the factored average of the instability (u_hat - m)^2, smoothed
-    with (beta3, eps2). Small instability means a trustworthy momentum and
-    a large step; large instability shrinks the step.
-    """
-    _check_step_inputs(theta, g, state, "came")
-    t_next = state.t + 1
-    sm, u_hat, m_new = _moment_pipeline(g, state, cfg)
-    m_ref = state.m if cfg.came_residual_vs_prev else m_new
-    instab = _acc_update(state.instability, np.square(u_hat - m_ref))
-    s = _require_positive(_acc_reconstruct(instab), "instability surrogate")
-    theta_new = theta - warmup_lr(t_next, cfg) * (m_new / np.sqrt(s))
-
-    state.second_moment = sm
-    state.instability = instab
-    state.m = m_new
-    state.t = t_next
-    return theta_new
-
-
-def raw_confidence_step(
-    theta: Matrix, g: Matrix, state: OptimizerState, cfg: OptimizerConfig
-) -> Matrix:
-    """One step of the unfactored confidence variant: m / sqrt((m - u_hat)^2 + eps3)."""
-    _check_step_inputs(theta, g, state, "raw_confidence")
-    t_next = state.t + 1
-    sm, u_hat, m_new = _moment_pipeline(g, state, cfg)
-    residual = _require_positive(
-        np.square(m_new - u_hat) + cfg.eps3, "confidence denominator"
-    )
-    theta_new = theta - warmup_lr(t_next, cfg) * (m_new / np.sqrt(residual))
-
-    state.second_moment = sm
-    state.m = m_new
-    state.t = t_next
-    return theta_new
-
-
-def adam_step(theta: Matrix, g: Matrix, state: OptimizerState, cfg: OptimizerConfig) -> Matrix:
-    """One bias-corrected Adam step (conventional baseline)."""
-    _check_step_inputs(theta, g, state, "adam")
-    t_next = state.t + 1
-    m_new = cfg.beta1 * state.m + (1.0 - cfg.beta1) * g
-    v_new = cfg.beta2 * state.adam_v + (1.0 - cfg.beta2) * np.square(g)
-    m_hat = m_new / (1.0 - cfg.beta1**t_next)
-    v_hat = v_new / (1.0 - cfg.beta2**t_next)
-    theta_new = theta - warmup_lr(t_next, cfg) * (m_hat / (np.sqrt(v_hat) + cfg.adam_eps))
-
-    state.m = m_new
-    state.adam_v = v_new
-    state.t = t_next
-    return theta_new
-
-
-_STEP_FNS = {
-    "adafactor": adafactor_step,
-    "came": came_step,
-    "adam": adam_step,
-    "raw_confidence": raw_confidence_step,
-}
-
-
-def step_param(theta: Matrix, g: Matrix, state: OptimizerState, cfg: OptimizerConfig) -> Matrix:
-    """Dispatch one step to the state's variant."""
-    return _STEP_FNS[state.variant](theta, g, state, cfg)
 
 
 def state_element_count(state: OptimizerState) -> int:

@@ -18,7 +18,7 @@ from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
-from .tensor import Matrix
+from .tensor import Matrix, storage_shape
 
 Params = Dict[str, Matrix]
 ParamSpec = Tuple[str, Tuple[int, ...]]
@@ -47,10 +47,7 @@ class Problem:
     dataset: Optional[SyntheticDataset] = None
 
     def storage_shapes(self) -> Dict[str, Tuple[int, int]]:
-        out = {}
-        for name, dims in self.param_specs:
-            out[name] = (dims[0], 1) if len(dims) == 1 else (dims[0], dims[1])
-        return out
+        return {name: storage_shape(dims) for name, dims in self.param_specs}
 
 
 def initial_params(problem: Problem, seed: int) -> Params:

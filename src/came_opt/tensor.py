@@ -1,68 +1,29 @@
 """Minimal dense matrix arithmetic shared by every optimizer.
 
 Everything is a 2-D float64 numpy array in C (row-major) order: a column
-vector is n x 1, a row vector is 1 x m, a scalar is 1 x 1. Operations are
-pure; repeated calls on identical inputs return bitwise-identical results.
-No broadcasting beyond the outer-quotient and explicit scalar cases.
+vector is n x 1, a row vector is 1 x m, a scalar is 1 x 1. A logically 1-D
+parameter of n entries is stored as an n x 1 column. Operations are pure;
+repeated calls on identical inputs return bitwise-identical results.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Union
+from typing import Tuple
 
 import numpy as np
 
-# A Matrix is a 2-D float64 ndarray. The alias documents intent; the
-# constructors below are the supported way to build one.
+# A Matrix is a 2-D float64 ndarray; the alias documents intent.
 Matrix = np.ndarray
 
-Scalar = Union[int, float]
 
-EWISE_OPS = ("add", "sub", "mul", "div", "square", "sqrt", "scale", "add_scalar")
-
-
-def matrix(values) -> Matrix:
-    """Build a Matrix from a nested sequence or 2-D array (copies)."""
-    arr = np.array(values, dtype=np.float64, order="C")
-    if arr.ndim != 2:
-        raise ValueError(
-            f"matrix() expects 2-D input, got {arr.ndim}-D; use row()/column() for vectors"
-        )
-    if arr.shape[0] < 1 or arr.shape[1] < 1:
-        raise ValueError(f"matrix dimensions must be positive, got {arr.shape}")
-    return arr
-
-
-def column(values) -> Matrix:
-    """Build an n x 1 column vector."""
-    arr = np.array(values, dtype=np.float64).reshape(-1, 1)
-    if arr.shape[0] < 1:
-        raise ValueError("column() needs at least one entry")
-    return np.ascontiguousarray(arr)
-
-
-def row(values) -> Matrix:
-    """Build a 1 x m row vector."""
-    arr = np.array(values, dtype=np.float64).reshape(1, -1)
-    if arr.shape[1] < 1:
-        raise ValueError("row() needs at least one entry")
-    return np.ascontiguousarray(arr)
-
-
-def zeros(rows: int, cols: int) -> Matrix:
-    _check_dims(rows, cols)
-    return np.zeros((rows, cols), dtype=np.float64)
-
-
-def ones(rows: int, cols: int) -> Matrix:
-    _check_dims(rows, cols)
-    return np.ones((rows, cols), dtype=np.float64)
-
-
-def _check_dims(rows: int, cols: int) -> None:
-    if rows < 1 or cols < 1:
-        raise ValueError(f"matrix dimensions must be positive, got {rows}x{cols}")
+def storage_shape(dims: Tuple[int, ...]) -> Tuple[int, int]:
+    """Map logical dims to the 2-D storage shape (1-D becomes a column)."""
+    if len(dims) == 1:
+        return (dims[0], 1)
+    if len(dims) == 2:
+        return (dims[0], dims[1])
+    raise ValueError(f"parameters must be 1-D or 2-D, got dims {dims}")
 
 
 def _check(m, name: str = "matrix") -> Matrix:
@@ -83,65 +44,10 @@ def col_sums(m: Matrix) -> Matrix:
     return m.sum(axis=0, keepdims=True)
 
 
-def total(m: Matrix) -> float:
-    """Sum of all entries."""
-    _check(m)
-    return float(m.sum())
-
-
 def rms(m: Matrix) -> float:
     """Root mean square of all entries."""
     _check(m)
     return math.sqrt(float(np.mean(np.square(m))))
-
-
-def ewise(op: str, a: Matrix, b: Union[Matrix, Scalar, None] = None) -> Matrix:
-    """Apply an elementwise operation, returning a new Matrix.
-
-    Binary ops (add, sub, mul, div) take a Matrix of identical shape or a
-    Python scalar. scale and add_scalar require a scalar. square and sqrt
-    are unary. div raises if any divisor entry is exactly zero.
-    """
-    _check(a, "a")
-    if op not in EWISE_OPS:
-        raise ValueError(f"unknown ewise op {op!r}, expected one of {EWISE_OPS}")
-
-    if op == "square":
-        _require_no_operand(op, b)
-        return np.square(a)
-    if op == "sqrt":
-        _require_no_operand(op, b)
-        return np.sqrt(a)
-    if op in ("scale", "add_scalar"):
-        if not isinstance(b, (int, float)):
-            raise ValueError(f"{op} needs a scalar operand, got {type(b).__name__}")
-        return a * float(b) if op == "scale" else a + float(b)
-
-    # add / sub / mul / div
-    if isinstance(b, (int, float)):
-        operand: Union[Matrix, float] = float(b)
-        if op == "div" and operand == 0.0:
-            raise ValueError("division by zero scalar")
-    else:
-        _check(b, "b")
-        if a.shape != b.shape:
-            raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-        operand = b
-        if op == "div" and np.any(b == 0.0):
-            raise ValueError("division by a matrix with zero entries")
-
-    if op == "add":
-        return a + operand
-    if op == "sub":
-        return a - operand
-    if op == "mul":
-        return a * operand
-    return a / operand
-
-
-def _require_no_operand(op: str, b) -> None:
-    if b is not None:
-        raise ValueError(f"{op} is unary, second operand must be None")
 
 
 def outer_quotient(r: Matrix, c: Matrix) -> Matrix:

@@ -14,10 +14,8 @@ from came_opt.factored_moment import generalized_kl, nmf_rank1
 from came_opt.memory_model import bundled_manifest, report, scale_manifest
 from came_opt.optimizers import (
     OptimizerConfig,
-    adafactor_step,
-    came_step,
     make_state,
-    raw_confidence_step,
+    step_param,
 )
 from came_opt.problems import build_problem, gradient_report
 from came_opt.runner import RunConfig, compare
@@ -94,11 +92,9 @@ def test_criterion_3_pseudocode_fidelity():
     theta = np.array([[1.0]])
     g = np.array([[2.0]])
 
-    ada = float(adafactor_step(theta, g, make_state("adafactor", (1, 1), cfg), cfg)[0, 0])
-    came = float(came_step(theta, g, make_state("came", (1, 1), cfg), cfg)[0, 0])
-    raw = float(
-        raw_confidence_step(theta, g, make_state("raw_confidence", (1, 1), cfg), cfg)[0, 0]
-    )
+    ada = float(step_param(theta, g, make_state("adafactor", (1, 1), cfg), cfg)[0, 0])
+    came = float(step_param(theta, g, make_state("came", (1, 1), cfg), cfg)[0, 0])
+    raw = float(step_param(theta, g, make_state("raw_confidence", (1, 1), cfg), cfg)[0, 0])
 
     ok = (
         abs(ada - 0.9999) <= 1e-9
@@ -131,7 +127,7 @@ def test_criterion_4_scalar_oracle_equivalence():
         u_hat = u / max(1.0, abs(u) / cfg.clip_d)
         m = cfg.beta1 * m + (1.0 - cfg.beta1) * u_hat
         ref_theta -= cfg.lr * m
-        theta = adafactor_step(theta, np.array([[g]]), state, cfg)
+        theta = step_param(theta, np.array([[g]]), state, cfg)
         max_gap = max(max_gap, abs(theta[0, 0] - ref_theta))
     _report(
         4,

@@ -13,7 +13,7 @@ from came_opt.factored_moment import (
     generalized_kl,
     nmf_rank1,
 )
-from came_opt.tensor import column, matrix, row, row_sums, col_sums
+from came_opt.tensor import row_sums, col_sums
 
 
 def rand_nonneg(rng, n, m, scale=2.0):
@@ -36,23 +36,23 @@ def test_nmf_rank1_reproduces_rank1_input():
 
 
 def test_nmf_rank1_hand_case():
-    w, h = nmf_rank1(matrix([[1, 2], [3, 4]]))
-    np.testing.assert_allclose(w, column([3, 7]), rtol=1e-15)
-    np.testing.assert_allclose(h, row([0.4, 0.6]), rtol=1e-15)
-    np.testing.assert_allclose(w @ h, matrix([[1.2, 1.8], [2.8, 4.2]]), rtol=1e-14)
+    w, h = nmf_rank1(np.array([[1.0, 2.0], [3.0, 4.0]]))
+    np.testing.assert_allclose(w, np.array([[3.0], [7.0]]), rtol=1e-15)
+    np.testing.assert_allclose(h, np.array([[0.4, 0.6]]), rtol=1e-15)
+    np.testing.assert_allclose(w @ h, np.array([[1.2, 1.8], [2.8, 4.2]]), rtol=1e-14)
 
 
 def test_nmf_rank1_scalar():
-    w, h = nmf_rank1(matrix([[4.0]]))
+    w, h = nmf_rank1(np.array([[4.0]]))
     assert w[0, 0] == 4.0 and h[0, 0] == 1.0
-    np.testing.assert_array_equal(w @ h, matrix([[4.0]]))
+    np.testing.assert_array_equal(w @ h, np.array([[4.0]]))
 
 
 def test_nmf_rank1_rejects_bad_input():
     with pytest.raises(ValueError, match="nonnegative"):
-        nmf_rank1(matrix([[1.0, -0.1], [0.0, 1.0]]))
+        nmf_rank1(np.array([[1.0, -0.1], [0.0, 1.0]]))
     with pytest.raises(ValueError, match="positive total"):
-        nmf_rank1(matrix([[0.0, 0.0]]))
+        nmf_rank1(np.array([[0.0, 0.0]]))
 
 
 # ---------------------------------------------------------------------------
@@ -67,13 +67,13 @@ def test_kl_of_identical_matrices_is_zero():
 
 
 def test_kl_hand_case():
-    assert generalized_kl(matrix([[1.0]]), matrix([[math.e]])) == pytest.approx(
+    assert generalized_kl(np.array([[1.0]]), np.array([[math.e]])) == pytest.approx(
         math.e - 2.0, rel=1e-14
     )
 
 
 def test_kl_zero_entry_convention():
-    assert generalized_kl(matrix([[0.0]]), matrix([[1.0]])) == 1.0
+    assert generalized_kl(np.array([[0.0]]), np.array([[1.0]])) == 1.0
 
 
 def test_kl_rejects_shape_mismatch_and_domain():
@@ -105,9 +105,9 @@ def test_nmf_rank1_is_kl_optimal_under_perturbation():
 
 def test_factored_update_fresh_state_by_hand():
     state = FactoredEMA.fresh(2, 2, decay=0.999, epsilon=0.0)
-    state = factored_update(state, matrix([[1, 2], [3, 4]]))
-    np.testing.assert_allclose(state.row_acc, column([0.003, 0.007]), rtol=1e-12)
-    np.testing.assert_allclose(state.col_acc, row([0.004, 0.006]), rtol=1e-12)
+    state = factored_update(state, np.array([[1.0, 2.0], [3.0, 4.0]]))
+    np.testing.assert_allclose(state.row_acc, np.array([[0.003], [0.007]]), rtol=1e-12)
+    np.testing.assert_allclose(state.col_acc, np.array([[0.004, 0.006]]), rtol=1e-12)
     assert state.step_count == 1
 
 
@@ -134,12 +134,12 @@ def test_factored_update_validates():
     with pytest.raises(ValueError, match="shape mismatch"):
         factored_update(state, np.zeros((2, 3)))
     with pytest.raises(ValueError, match="nonnegative"):
-        factored_update(state, matrix([[1.0, -1.0], [0.0, 0.0]]))
+        factored_update(state, np.array([[1.0, -1.0], [0.0, 0.0]]))
 
 
 def test_reconstruct_scalar_equals_col_acc():
     state = FactoredEMA.fresh(1, 1, decay=0.99, epsilon=1e-12)
-    state = factored_update(state, matrix([[2.0]]))
+    state = factored_update(state, np.array([[2.0]]))
     np.testing.assert_array_equal(factored_reconstruct(state), state.col_acc)
 
 
@@ -161,10 +161,14 @@ def test_reconstruct_single_rank1_update_exact():
 
 def test_reconstruct_hand_case():
     state = FactoredEMA(
-        row_acc=column([3, 7]), col_acc=row([4, 6]), decay=0.9, epsilon=0.0, step_count=1
+        row_acc=np.array([[3.0], [7.0]]),
+        col_acc=np.array([[4.0, 6.0]]),
+        decay=0.9,
+        epsilon=0.0,
+        step_count=1,
     )
     np.testing.assert_allclose(
-        factored_reconstruct(state), matrix([[1.2, 1.8], [2.8, 4.2]]), rtol=1e-14
+        factored_reconstruct(state), np.array([[1.2, 1.8], [2.8, 4.2]]), rtol=1e-14
     )
 
 
@@ -190,8 +194,8 @@ def test_smoothing_parameter_validation():
 
 def test_full_update_by_hand():
     state = FullEMA.fresh(2, 1, decay=0.9, epsilon=0.0)
-    state = full_update(state, column([1.0, 4.0]))
-    np.testing.assert_allclose(state.acc, column([0.1, 0.4]), rtol=1e-14)
+    state = full_update(state, np.array([[1.0], [4.0]]))
+    np.testing.assert_allclose(state.acc, np.array([[0.1], [0.4]]), rtol=1e-14)
 
 
 def test_full_epsilon_floor():
@@ -209,7 +213,7 @@ def test_full_matches_factored_on_scalars():
     fact = FactoredEMA.fresh(1, 1, decay=0.99, epsilon=1e-10)
     full = FullEMA.fresh(1, 1, decay=0.99, epsilon=1e-10)
     for _ in range(50):
-        x = matrix([[float(rng.uniform(0, 3))]])
+        x = np.array([[float(rng.uniform(0, 3))]])
         fact = factored_update(fact, x)
         full = full_update(full, x)
         assert abs(fact.col_acc[0, 0] - full.acc[0, 0]) <= 1e-15
@@ -257,7 +261,7 @@ def test_reconstruction_consistency():
 
 def test_update_is_functional_and_input_untouched():
     state = FactoredEMA.fresh(2, 2, decay=0.9, epsilon=0.0)
-    x = matrix([[1.0, 2.0], [3.0, 4.0]])
+    x = np.array([[1.0, 2.0], [3.0, 4.0]])
     snapshot = x.copy()
     new_state = factored_update(state, x)
     assert new_state is not state

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,17 +9,13 @@ from came_opt.memory_model import state_elements
 from came_opt.optimizers import (
     InvalidConfig,
     OptimizerConfig,
-    adafactor_step,
-    adam_step,
-    came_step,
     clip_by_rms,
     make_state,
-    raw_confidence_step,
     state_element_count,
     step_param,
     warmup_lr,
 )
-from came_opt.tensor import matrix, rms
+from came_opt.tensor import rms
 
 
 def scalar_theta(x=1.0):
@@ -68,14 +65,14 @@ def test_config_validation_reports_field(field, value):
 
 
 def test_clip_noop_below_threshold():
-    u = matrix([[0.5, -0.5], [0.5, 0.5]])  # rms 0.5 exactly
+    u = np.array([[0.5, -0.5], [0.5, 0.5]])  # rms 0.5 exactly
     assert rms(u) == pytest.approx(0.5, abs=1e-15)
     np.testing.assert_array_equal(clip_by_rms(u, 1.0), u)
 
 
 def test_clip_scales_large_update_to_threshold():
-    u = matrix([[31.6227766]])
-    np.testing.assert_array_equal(clip_by_rms(u, 1.0), matrix([[1.0]]))
+    u = np.array([[31.6227766]])
+    np.testing.assert_array_equal(clip_by_rms(u, 1.0), np.array([[1.0]]))
 
 
 def test_clip_zero_matrix():
@@ -114,7 +111,7 @@ def test_warmup_disabled_and_ramp():
 def test_adafactor_scalar_first_step():
     cfg = OptimizerConfig()
     state = make_state("adafactor", (1, 1), cfg)
-    theta = adafactor_step(scalar_theta(1.0), scalar_theta(2.0), state, cfg)
+    theta = step_param(scalar_theta(1.0), scalar_theta(2.0), state, cfg)
     assert theta[0, 0] == pytest.approx(0.9999, abs=1e-9)
     assert state.t == 1
     assert state.m[0, 0] == pytest.approx(0.1, abs=1e-9)
@@ -123,21 +120,21 @@ def test_adafactor_scalar_first_step():
 def test_came_scalar_first_step():
     cfg = OptimizerConfig()
     state = make_state("came", (1, 1), cfg)
-    theta = came_step(scalar_theta(1.0), scalar_theta(2.0), state, cfg)
+    theta = step_param(scalar_theta(1.0), scalar_theta(2.0), state, cfg)
     assert theta[0, 0] == pytest.approx(1.0 - 1.0 / 90.0, abs=1e-9)
 
 
 def test_raw_confidence_scalar_first_step():
     cfg = OptimizerConfig()
     state = make_state("raw_confidence", (1, 1), cfg)
-    theta = raw_confidence_step(scalar_theta(1.0), scalar_theta(2.0), state, cfg)
+    theta = step_param(scalar_theta(1.0), scalar_theta(2.0), state, cfg)
     assert theta[0, 0] == pytest.approx(1.0 - 1.0 / 9000.0, abs=1e-9)
 
 
 def test_adam_scalar_first_step():
     cfg = OptimizerConfig()
     state = make_state("adam", (1, 1), cfg)
-    theta = adam_step(scalar_theta(1.0), scalar_theta(2.0), state, cfg)
+    theta = step_param(scalar_theta(1.0), scalar_theta(2.0), state, cfg)
     # bias correction cancels at t=1: update = lr * 2 / (2 + adam_eps)
     assert theta[0, 0] == pytest.approx(1.0 - 1e-3 * 2.0 / (2.0 + 1e-8), rel=1e-12)
 
@@ -157,7 +154,7 @@ def test_adam_zero_gradient_forever():
     state = make_state("adam", (2,), cfg)
     theta = np.array([[1.0], [2.0]])
     for _ in range(20):
-        theta = adam_step(theta, np.zeros((2, 1)), state, cfg)
+        theta = step_param(theta, np.zeros((2, 1)), state, cfg)
     np.testing.assert_array_equal(theta, np.array([[1.0], [2.0]]))
 
 
@@ -179,8 +176,8 @@ def test_adafactor_gradient_scale_invariance():
     theta_a = np.ones((3, 3))
     theta_b = np.ones((3, 3))
     for g in grads:
-        theta_a = adafactor_step(theta_a, g, state_a, cfg)
-        theta_b = adafactor_step(theta_b, 10.0 * g, state_b, cfg)
+        theta_a = step_param(theta_a, g, state_a, cfg)
+        theta_b = step_param(theta_b, 10.0 * g, state_b, cfg)
         np.testing.assert_allclose(theta_b, theta_a, rtol=1e-10, atol=1e-13)
 
 
@@ -188,7 +185,7 @@ def test_adam_scale_free_first_step():
     cfg = OptimizerConfig(adam_eps=0.0)
     for g_value in (0.01, 2.0, 1e4):
         state = make_state("adam", (1, 1), cfg)
-        theta = adam_step(scalar_theta(0.0), scalar_theta(g_value), state, cfg)
+        theta = step_param(scalar_theta(0.0), scalar_theta(g_value), state, cfg)
         assert abs(theta[0, 0]) == pytest.approx(cfg.lr, rel=1e-12)
 
 
@@ -206,8 +203,8 @@ def test_came_and_adafactor_share_pipeline_bitwise():
     theta_c = np.zeros((4, 5))
     for _ in range(50):
         g = rng.standard_normal((4, 5))
-        theta_a = adafactor_step(theta_a, g, state_a, cfg)
-        theta_c = came_step(theta_c, g, state_c, cfg)
+        theta_a = step_param(theta_a, g, state_a, cfg)
+        theta_c = step_param(theta_c, g, state_c, cfg)
         assert np.array_equal(state_a.m, state_c.m)
         assert np.array_equal(state_a.second_moment.row_acc, state_c.second_moment.row_acc)
         assert np.array_equal(state_a.second_moment.col_acc, state_c.second_moment.col_acc)
@@ -218,7 +215,7 @@ def test_came_residual_uses_updated_momentum_by_default():
     # first step from zero state: U = (u_hat - m1)^2 = (0.9 u_hat)^2
     cfg = OptimizerConfig()
     state = make_state("came", (1, 1), cfg)
-    came_step(scalar_theta(1.0), scalar_theta(2.0), state, cfg)
+    step_param(scalar_theta(1.0), scalar_theta(2.0), state, cfg)
     expected = (1.0 - cfg.beta3) * ((0.9 * 1.0) ** 2 + cfg.eps2)
     assert factored_reconstruct(state.instability)[0, 0] == pytest.approx(expected, rel=1e-12)
 
@@ -227,7 +224,7 @@ def test_came_residual_vs_prev_flag():
     # opt-in: U = (u_hat - m_{t-1})^2, so the first step squares u_hat itself
     cfg = OptimizerConfig(came_residual_vs_prev=True)
     state = make_state("came", (1, 1), cfg)
-    came_step(scalar_theta(1.0), scalar_theta(2.0), state, cfg)
+    step_param(scalar_theta(1.0), scalar_theta(2.0), state, cfg)
     expected = (1.0 - cfg.beta3) * (1.0**2 + cfg.eps2)
     assert factored_reconstruct(state.instability)[0, 0] == pytest.approx(expected, rel=1e-12)
 
@@ -239,7 +236,7 @@ def test_came_sign_property_on_scalars():
     theta = scalar_theta(0.0)
     for _ in range(60):
         g = scalar_theta(rng.standard_normal())
-        new_theta = came_step(theta, g, state, cfg)
+        new_theta = step_param(theta, g, state, cfg)
         if state.m[0, 0] != 0.0:
             assert math.copysign(1.0, theta[0, 0] - new_theta[0, 0]) == math.copysign(
                 1.0, state.m[0, 0]
@@ -254,7 +251,7 @@ def test_raw_confidence_converges_to_eps_floor():
     theta = scalar_theta(0.0)
     for _ in range(300):
         prev = theta
-        theta = raw_confidence_step(theta, scalar_theta(3.0), state, cfg)
+        theta = step_param(theta, scalar_theta(3.0), state, cfg)
     step_size = float(prev[0, 0] - theta[0, 0])
     expected = cfg.lr * state.m[0, 0] / math.sqrt(cfg.eps3)
     assert step_size == pytest.approx(expected, rel=1e-6)
@@ -277,7 +274,7 @@ def test_accumulators_stay_positive_with_sparse_gradients():
             g[rng.uniform(size=shape) < 0.7] = 0.0
             if i % 7 == 0:
                 g = np.zeros(shape)
-            theta = came_step(theta, g, state, cfg)
+            theta = step_param(theta, g, state, cfg)
             v = (
                 factored_reconstruct(state.second_moment)
                 if isinstance(state.second_moment, FactoredEMA)
@@ -322,7 +319,7 @@ def test_factored_adafactor_matches_scalar_reference():
     state = make_state("adafactor", (1, 1), cfg)
     theta = scalar_theta(0.7)
     for g, ref in zip(grads, expected):
-        theta = adafactor_step(theta, scalar_theta(g), state, cfg)
+        theta = step_param(theta, scalar_theta(g), state, cfg)
         assert theta[0, 0] == pytest.approx(ref, abs=1e-12)
 
 
@@ -357,9 +354,7 @@ def test_step_shape_and_variant_validation():
     cfg = OptimizerConfig()
     state = make_state("came", (2, 2), cfg)
     with pytest.raises(ValueError, match="shape mismatch"):
-        came_step(np.zeros((2, 2)), np.zeros((2, 3)), state, cfg)
-    with pytest.raises(ValueError, match="state is for"):
-        adafactor_step(np.zeros((2, 2)), np.zeros((2, 2)), state, cfg)
+        step_param(np.zeros((2, 2)), np.zeros((2, 3)), state, cfg)
 
 
 def test_failed_step_leaves_state_untouched():
@@ -368,18 +363,18 @@ def test_failed_step_leaves_state_untouched():
     # a first step with zero gradient and eps1=0 fails inside reconstruction
     # (zero row sums), after the candidate accumulator exists but before commit
     with pytest.raises(ValueError):
-        adafactor_step(np.ones((2, 2)), np.zeros((2, 2)), state, cfg)
+        step_param(np.ones((2, 2)), np.zeros((2, 2)), state, cfg)
     assert state.t == 0
     assert state.second_moment.step_count == 0
     assert np.all(state.m == 0.0)
 
-    theta = adafactor_step(np.ones((2, 2)), np.ones((2, 2)), state, cfg)
+    theta = step_param(np.ones((2, 2)), np.ones((2, 2)), state, cfg)
     t_before = state.t
     m_before = state.m.copy()
     sm_before = state.second_moment
     # shape error on a live state is caught before any work
     with pytest.raises(ValueError):
-        adafactor_step(theta, np.zeros((3, 3)), state, cfg)
+        step_param(theta, np.zeros((3, 3)), state, cfg)
     assert state.t == t_before
     assert state.second_moment is sm_before
     np.testing.assert_array_equal(state.m, m_before)
@@ -391,7 +386,7 @@ def test_unfactored_path_rejects_zero_denominator():
     cfg = OptimizerConfig(eps1=0.0)
     state = make_state("adafactor", (3,), cfg)
     with pytest.raises(ValueError, match="nonpositive"):
-        adafactor_step(np.zeros((3, 1)), np.zeros((3, 1)), state, cfg)
+        step_param(np.zeros((3, 1)), np.zeros((3, 1)), state, cfg)
     assert state.t == 0
 
 
@@ -400,7 +395,7 @@ def test_came_zero_eps2_rejected_at_use():
     state = make_state("came", (2,), cfg)
     # zero gradient makes the residual exactly zero; without eps2 that is an error
     with pytest.raises(ValueError, match="nonpositive"):
-        came_step(np.zeros((2, 1)), np.zeros((2, 1)), state, cfg)
+        step_param(np.zeros((2, 1)), np.zeros((2, 1)), state, cfg)
 
 
 def test_deterministic_trajectories():
@@ -412,7 +407,7 @@ def test_deterministic_trajectories():
         state = make_state("came", (3, 3), cfg)
         theta = np.zeros((3, 3))
         for _ in range(30):
-            theta = came_step(theta, rng.standard_normal((3, 3)), state, cfg)
+            theta = step_param(theta, rng.standard_normal((3, 3)), state, cfg)
         results.append(theta)
     assert np.array_equal(results[0], results[1])
 
@@ -422,3 +417,26 @@ def test_deterministic_trajectories():
 def test_state_element_count_matches_memory_model(variant, dims):
     state = make_state(variant, dims, OptimizerConfig())
     assert state_element_count(state) == state_elements(variant, dims)
+
+
+@pytest.mark.parametrize(
+    "variant,full_arrays", [("adafactor", 5), ("came", 5), ("raw_confidence", 5), ("adam", 6)]
+)
+def test_step_transient_memory(variant, full_arrays):
+    # tracemalloc peak of one warm step on a 256 x 256 matrix, counted in n x m
+    # float64 arrays; the extra 0.02 covers factor vectors, scalars and headers
+    n = m = 256
+    cfg = OptimizerConfig()
+    rng = np.random.Generator(np.random.PCG64(28))
+    state = make_state(variant, (n, m), cfg)
+    theta = rng.standard_normal((n, m))
+    for _ in range(2):
+        theta = step_param(theta, rng.standard_normal((n, m)), state, cfg)
+    g = rng.standard_normal((n, m))
+    tracemalloc.start()
+    try:
+        step_param(theta, g, state, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (full_arrays + 0.02) * n * m * 8

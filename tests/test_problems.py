@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -168,6 +169,9 @@ def test_mlp_param_manifest():
     )
     shapes = p.storage_shapes()
     assert shapes["b1"] == (32, 1) and shapes["w1"] == (16, 32)
+    cube = dataclasses.replace(p, param_specs=p.param_specs + (("w3", (2, 3, 4)),))
+    with pytest.raises(ValueError, match="1-D or 2-D"):
+        cube.storage_shapes()
 
 
 def _train_mlp(variant, steps=200, init_seed=5):
