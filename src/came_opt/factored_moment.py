@@ -146,11 +146,11 @@ def full_update(state: FullEMA, x: Matrix) -> FullEMA:
     if np.any(x < 0.0):
         raise ValueError("full accumulators only accept nonnegative input")
     d = state.decay
-    return replace(
-        state,
-        acc=d * state.acc + (1.0 - d) * (x + state.epsilon),
-        step_count=state.step_count + 1,
-    )
+    shifted = x + state.epsilon
+    shifted *= 1.0 - d
+    acc = d * state.acc
+    acc += shifted  # d * acc + (1 - d) * (x + epsilon), without a third temporary
+    return replace(state, acc=acc, step_count=state.step_count + 1)
 
 
 def full_reconstruct(state: FullEMA) -> Matrix:

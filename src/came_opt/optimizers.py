@@ -15,11 +15,17 @@ All parameters are 2-D float64 matrices; a logically 1-D parameter of n
 entries is stored as an n x 1 column and uses unfactored accumulators, so
 the memory claims of the factored variants survive the fallback. A step
 either completes and advances the state exactly once, or raises and leaves
-the state untouched.
+the state untouched; a gradient with a NaN or infinite entry raises.
+
+A step works in place on the arrays it allocates itself, so only the new
+theta and the new state's arrays outlive it. Every expression keeps its
+evaluation order, so trajectories are bitwise those of the plain formulas
+with one fresh array per operation.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
@@ -153,24 +159,43 @@ def _acc_update(acc: Accumulator, x: Matrix) -> Accumulator:
     return full_update(acc, x)
 
 
-def _acc_reconstruct(acc: Accumulator) -> Matrix:
+def _acc_root(acc: Accumulator, what: str, out: Optional[Matrix] = None) -> Matrix:
+    """sqrt of the accumulator's reconstruction, into `out` or a fresh array.
+
+    A factored reconstruction is fresh, so without `out` it is rooted in
+    place; an unfactored one is the accumulator's own array and is never written.
+    """
     if isinstance(acc, FactoredEMA):
-        return factored_reconstruct(acc)
-    return full_reconstruct(acc)
+        v = _require_positive(factored_reconstruct(acc), what)
+        return np.sqrt(v, out=v if out is None else out)
+    return np.sqrt(_require_positive(full_reconstruct(acc), what), out=out)
 
 
 def _require_positive(denom: Matrix, what: str) -> Matrix:
     # guaranteed by the epsilon floors; only reachable when they are set to 0
-    if np.any(denom <= 0.0):
+    if not denom.min() > 0.0:
         raise ValueError(f"{what} has nonpositive entries; set its epsilon > 0")
     return denom
+
+
+def _require_finite(*arrays: Matrix) -> None:
+    # each array is a nonnegative sum or moving average of g^2: finite exactly
+    # when every gradient entry is finite and its square does not overflow, and
+    # its max, which propagates NaN, is finite exactly when all entries are
+    if not all(math.isfinite(a.max()) for a in arrays):
+        raise ValueError("gradient has non-finite entries (NaN, inf, or a square that overflows)")
 
 
 def step_param(theta: Matrix, g: Matrix, state: OptimizerState, cfg: OptimizerConfig) -> Matrix:
     """One step of the state's variant; returns the new theta.
 
-    Every candidate value is computed before the state is touched, so a step
-    that raises leaves the state as it was.
+    Ownership: the returned theta and the committed momentum and accumulators
+    are fresh arrays. theta, g and every array the state held before the call
+    are never written; the step works in place only on arrays it allocated
+    itself and keeps no scratch buffer between calls. Every candidate value
+    is computed and checked before the state is touched, so a step that
+    raises (shape mismatch, non-finite gradient, nonpositive denominator)
+    leaves the state as it was.
     """
     expected = storage_shape(state.dims)
     if theta.shape != expected or g.shape != expected:
@@ -182,32 +207,63 @@ def step_param(theta: Matrix, g: Matrix, state: OptimizerState, cfg: OptimizerCo
     lr = warmup_lr(t_next, cfg)
 
     if state.variant == "adam":
-        m_new = cfg.beta1 * state.m + (1.0 - cfg.beta1) * g
-        v_new = cfg.beta2 * state.adam_v + (1.0 - cfg.beta2) * np.square(g)
-        m_hat = m_new / (1.0 - cfg.beta1**t_next)
-        v_hat = v_new / (1.0 - cfg.beta2**t_next)
-        theta_new = theta - lr * (m_hat / (np.sqrt(v_hat) + cfg.adam_eps))
+        m_new = cfg.beta1 * state.m
+        buf = np.multiply(1.0 - cfg.beta1, g)
+        m_new += buf
+        np.square(g, out=buf)
+        buf *= 1.0 - cfg.beta2
+        v_new = cfg.beta2 * state.adam_v
+        v_new += buf
+        _require_finite(v_new)
+        np.divide(m_new, 1.0 - cfg.beta1**t_next, out=buf)  # m_hat
+        root = v_new / (1.0 - cfg.beta2**t_next)  # v_hat
+        np.sqrt(root, out=root)
+        root += cfg.adam_eps
+        buf /= root
+        del root
+        buf *= lr
+        theta_new = np.subtract(theta, buf, out=buf)
         state.m, state.adam_v, state.t = m_new, v_new, t_next
         return theta_new
 
     # adafactor pipeline: fold g^2, reconstruct v, normalize, clip, momentum
     sm = _acc_update(state.second_moment, np.square(g))
-    v = _require_positive(_acc_reconstruct(sm), "second-moment surrogate")
-    u_hat = clip_by_rms(g / np.sqrt(v), cfg.clip_d)
-    del v  # alive through the denominator, it would add n x m to the step peak
-    m_new = cfg.beta1 * state.m + (1.0 - cfg.beta1) * u_hat
+    if isinstance(sm, FactoredEMA):
+        _require_finite(sm.row_acc, sm.col_acc)
+    else:
+        _require_finite(sm.acc)
+    root = _acc_root(sm, "second-moment surrogate")
+    u_hat = clip_by_rms(np.divide(g, root, out=root), cfg.clip_d)
+    m_new = np.multiply(cfg.beta1, state.m, out=root)  # reuses the unclipped update's array
+    del root
 
     instab = state.instability
-    if state.variant == "came":
-        m_ref = state.m if cfg.came_residual_vs_prev else m_new
-        instab = _acc_update(instab, np.square(u_hat - m_ref))
-        s = _require_positive(_acc_reconstruct(instab), "instability surrogate")
-        theta_new = theta - lr * (m_new / np.sqrt(s))
-    elif state.variant == "raw_confidence":
-        residual = _require_positive(np.square(m_new - u_hat) + cfg.eps3, "confidence denominator")
-        theta_new = theta - lr * (m_new / np.sqrt(residual))
+    if state.variant == "adafactor":
+        u_hat *= 1.0 - cfg.beta1  # u_hat is not needed after the momentum
+        m_new += u_hat
+        buf = np.multiply(m_new, lr, out=u_hat)
     else:
-        theta_new = theta - lr * m_new
+        buf = np.multiply(1.0 - cfg.beta1, u_hat)
+        m_new += buf
+        if state.variant == "came":
+            m_ref = state.m if cfg.came_residual_vs_prev else m_new
+            np.subtract(u_hat, m_ref, out=buf)
+            del u_hat
+            instab = _acc_update(instab, np.square(buf, out=buf))
+            # sqrt(s) goes into the residual's array, not into the fresh
+            # reconstruction: the peak is the same, and with glibc malloc at
+            # 512 x 512 a step then takes about half the minor page faults
+            _acc_root(instab, "instability surrogate", out=buf)
+        else:  # raw_confidence
+            np.subtract(m_new, u_hat, out=buf)
+            del u_hat
+            np.square(buf, out=buf)
+            buf += cfg.eps3
+            _require_positive(buf, "confidence denominator")
+            np.sqrt(buf, out=buf)
+        np.divide(m_new, buf, out=buf)
+        buf *= lr
+    theta_new = np.subtract(theta, buf, out=buf)
 
     state.second_moment, state.instability, state.m, state.t = sm, instab, m_new, t_next
     return theta_new

@@ -185,7 +185,10 @@ def mlp1_from_data(
     denom = float(x.shape[0] * out_dim)
 
     def forward(params: Params):
-        h = np.tanh(x @ params["w1"] + params["b1"].T)
+        # in place on the fresh activations: tanh(x @ w1 + b1^T), one array
+        h = x @ params["w1"]
+        h += params["b1"].T
+        np.tanh(h, out=h)
         y_hat = h @ params["w2"] + params["b2"].T
         return h, y_hat
 
@@ -198,8 +201,10 @@ def mlp1_from_data(
         d_out = 2.0 * (y_hat - y) / denom
         g_w2 = h.T @ d_out
         g_b2 = d_out.sum(axis=0).reshape(out_dim, 1)
-        d_h = d_out @ params["w2"].T
-        d_z = d_h * (1.0 - np.square(h))
+        d_z = d_out @ params["w2"].T  # d_h, scaled in place into d_z
+        np.square(h, out=h)
+        np.subtract(1.0, h, out=h)
+        d_z *= h  # d_h * (1 - h^2)
         g_w1 = x.T @ d_z
         g_b1 = d_z.sum(axis=0).reshape(hidden_dim, 1)
         return {"w1": g_w1, "b1": g_b1, "w2": g_w2, "b2": g_b2}

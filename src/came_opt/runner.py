@@ -123,11 +123,15 @@ def run(config: RunConfig) -> RunResult:
         count = 0
         for name, _ in problem.param_specs:
             g = grads[name]
-            new_theta = step_param(params[name], g, states[name], config.opt)
-            delta = new_theta - params[name]
+            try:
+                new_theta = step_param(params[name], g, states[name], config.opt)
+            except ValueError as exc:
+                raise ValueError(f"parameter {name!r} at step {t}: {exc}") from exc
+            # the old theta is the run's own array: it becomes the squared update
+            delta = np.subtract(new_theta, params[name], out=params[name])
             params[name] = new_theta
             g_sq += float(np.sum(np.square(g)))
-            u_sq += float(np.sum(np.square(delta)))
+            u_sq += float(np.sum(np.square(delta, out=delta)))
             count += g.size
         grad_rec[t - 1] = math.sqrt(g_sq / count)
         upd_rec[t - 1] = math.sqrt(u_sq / count)

@@ -66,4 +66,9 @@ def outer_quotient(r: Matrix, c: Matrix) -> Matrix:
     denom = float(r.sum())
     if denom <= 0.0:
         raise ValueError("outer_quotient requires a positive row-factor total")
-    return (r @ c) / denom
+    # each entry is the single product r_i * c_j, the same value r @ c gives, so
+    # dividing in place matches (r @ c) / denom bitwise; einsum, unlike the
+    # broadcast r * c, allocates no iteration buffer next to its n x m result
+    out = np.einsum("ik,kj->ij", r, c)
+    out /= denom
+    return out

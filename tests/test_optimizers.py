@@ -7,6 +7,7 @@ import pytest
 from came_opt.factored_moment import FactoredEMA, FullEMA, factored_reconstruct
 from came_opt.memory_model import state_elements
 from came_opt.optimizers import (
+    VARIANTS,
     InvalidConfig,
     OptimizerConfig,
     clip_by_rms,
@@ -15,7 +16,7 @@ from came_opt.optimizers import (
     step_param,
     warmup_lr,
 )
-from came_opt.tensor import rms
+from came_opt.tensor import rms, storage_shape
 
 
 def scalar_theta(x=1.0):
@@ -419,24 +420,171 @@ def test_state_element_count_matches_memory_model(variant, dims):
     assert state_element_count(state) == state_elements(variant, dims)
 
 
-@pytest.mark.parametrize(
-    "variant,full_arrays", [("adafactor", 5), ("came", 5), ("raw_confidence", 5), ("adam", 6)]
-)
-def test_step_transient_memory(variant, full_arrays):
-    # tracemalloc peak of one warm step on a 256 x 256 matrix, counted in n x m
-    # float64 arrays; the extra 0.02 covers factor vectors, scalars and headers
-    n = m = 256
+# Peak of one warm step, in n x m float64 arrays, per variant: (256 x 256 matrix,
+# 65536-entry column). A 1-D parameter keeps its unfactored accumulators as
+# fresh n x 1 arrays, so the column needs more than the matrix.
+STEP_PEAK_ARRAYS = {
+    "adafactor": (2, 3),
+    "came": (3, 5),
+    "raw_confidence": (3, 4),
+    "adam": (4, 4),
+}
+
+
+@pytest.mark.parametrize("dims", [(256, 256), (65536,)], ids=["matrix", "column"])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_step_transient_memory(variant, dims):
+    # tracemalloc peak of one warm step, counted in n x m float64 arrays; the
+    # extra 0.03 covers factor vectors, scalars and headers
+    shape = storage_shape(dims)
+    nm = shape[0] * shape[1]
+    full_arrays = STEP_PEAK_ARRAYS[variant][len(dims) == 1]
     cfg = OptimizerConfig()
     rng = np.random.Generator(np.random.PCG64(28))
-    state = make_state(variant, (n, m), cfg)
-    theta = rng.standard_normal((n, m))
+    state = make_state(variant, dims, cfg)
+    theta = rng.standard_normal(shape)
     for _ in range(2):
-        theta = step_param(theta, rng.standard_normal((n, m)), state, cfg)
-    g = rng.standard_normal((n, m))
+        theta = step_param(theta, rng.standard_normal(shape), state, cfg)
+    g = rng.standard_normal(shape)
     tracemalloc.start()
     try:
         step_param(theta, g, state, cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= (full_arrays + 0.02) * n * m * 8
+    assert peak <= (full_arrays + 0.03) * nm * 8
+
+
+# ---------------------------------------------------------------------------
+# non-finite gradients, aliasing, and bitwise agreement with a plain transcription
+# ---------------------------------------------------------------------------
+
+
+def state_arrays(state):
+    """Every array the state holds: momentum, adam_v, and accumulator arrays."""
+    arrays = [state.m]
+    if state.adam_v is not None:
+        arrays.append(state.adam_v)
+    for acc in (state.second_moment, state.instability):
+        if isinstance(acc, FactoredEMA):
+            arrays += [acc.row_acc, acc.col_acc]
+        elif isinstance(acc, FullEMA):
+            arrays.append(acc.acc)
+    return arrays
+
+
+def warm_state(variant, dims, cfg, seed, steps=3):
+    shape = storage_shape(dims)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    state = make_state(variant, dims, cfg)
+    theta = rng.standard_normal(shape)
+    for _ in range(steps):
+        theta = step_param(theta, rng.standard_normal(shape), state, cfg)
+    return state, theta, rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("dims", [(6, 5), (7,)], ids=["matrix", "column"])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_non_finite_gradient_rejected_before_any_state_change(variant, dims, bad):
+    cfg = OptimizerConfig()
+    state, theta, g = warm_state(variant, dims, cfg, seed=29)
+    g[1, 0] = bad
+    t_before = state.t
+    held = state_arrays(state)
+    snapshots = [a.copy() for a in held]
+    accumulators = (state.second_moment, state.instability)
+    with pytest.raises(ValueError, match="non-finite"):
+        step_param(theta, g, state, cfg)
+    assert state.t == t_before
+    assert state.second_moment is accumulators[0] and state.instability is accumulators[1]
+    for now, before in zip(state_arrays(state), snapshots):
+        assert np.array_equal(now, before)
+    assert all(now is was for now, was in zip(state_arrays(state), held))
+
+
+@pytest.mark.parametrize("residual_vs_prev", [False, True])
+@pytest.mark.parametrize("dims", [(32, 48), (40,)], ids=["matrix", "column"])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_step_writes_no_input_and_returns_fresh_arrays(variant, dims, residual_vs_prev):
+    cfg = OptimizerConfig(came_residual_vs_prev=residual_vs_prev)
+    state, theta, g = warm_state(variant, dims, cfg, seed=30)
+    inputs = [theta, g] + state_arrays(state)
+    snapshots = [a.copy() for a in inputs]
+    theta_new = step_param(theta, g, state, cfg)
+    for array, before in zip(inputs, snapshots):
+        assert np.array_equal(array, before)
+    for fresh in [theta_new] + state_arrays(state):
+        assert not any(np.shares_memory(fresh, old) for old in inputs)
+    assert not np.shares_memory(theta_new, state.m)
+
+
+def _ref_fold(acc, x):
+    """Parent-style allocating accumulator update: returns (new acc, reconstruction)."""
+    kind, d, eps, arrays = acc
+    if kind == "factored":
+        row, col = arrays
+        shifted = x + eps
+        row = d * row + (1.0 - d) * shifted.sum(axis=1, keepdims=True)
+        col = d * col + (1.0 - d) * shifted.sum(axis=0, keepdims=True)
+        return (kind, d, eps, (row, col)), (row @ col) / float(row.sum())
+    (full,) = arrays
+    full = d * full + (1.0 - d) * (x + eps)
+    return (kind, d, eps, (full,)), full
+
+
+def _ref_acc(dims, decay, eps):
+    rows, cols = storage_shape(dims)
+    if len(dims) == 2:
+        return ("factored", decay, eps, (np.zeros((rows, 1)), np.zeros((1, cols))))
+    return ("full", decay, eps, (np.zeros((rows, cols)),))
+
+
+def reference_step(variant, theta, g, ref, cfg):
+    """Plain allocating transcription of the step's expressions, in their order."""
+    t = ref["t"] + 1
+    lr = cfg.lr * min(1.0, t / cfg.warmup_steps) if cfg.warmup_steps else cfg.lr
+    if variant == "adam":
+        m = cfg.beta1 * ref["m"] + (1.0 - cfg.beta1) * g
+        v = cfg.beta2 * ref["v"] + (1.0 - cfg.beta2) * np.square(g)
+        m_hat = m / (1.0 - cfg.beta1**t)
+        v_hat = v / (1.0 - cfg.beta2**t)
+        ref.update(m=m, v=v, t=t)
+        return theta - lr * (m_hat / (np.sqrt(v_hat) + cfg.adam_eps))
+    ref["sm"], v = _ref_fold(ref["sm"], np.square(g))
+    u = g / np.sqrt(v)
+    u_hat = u / max(1.0, math.sqrt(float(np.mean(np.square(u)))) / cfg.clip_d)
+    m = cfg.beta1 * ref["m"] + (1.0 - cfg.beta1) * u_hat
+    if variant == "came":
+        m_ref = ref["m"] if cfg.came_residual_vs_prev else m
+        ref["instab"], s = _ref_fold(ref["instab"], np.square(u_hat - m_ref))
+        theta_new = theta - lr * (m / np.sqrt(s))
+    elif variant == "raw_confidence":
+        theta_new = theta - lr * (m / np.sqrt(np.square(m - u_hat) + cfg.eps3))
+    else:
+        theta_new = theta - lr * m
+    ref.update(m=m, t=t)
+    return theta_new
+
+
+@pytest.mark.parametrize(
+    "dims", [(1, 1), (5,), (7, 3), (64, 1), (32, 48)], ids=["1x1", "5", "7x3", "64x1", "32x48"]
+)
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_step_matches_allocating_reference_bitwise(variant, dims):
+    shape = storage_shape(dims)
+    for residual_vs_prev in (False, True):
+        for warmup in (0, 5):
+            cfg = OptimizerConfig(came_residual_vs_prev=residual_vs_prev, warmup_steps=warmup)
+            rng = np.random.Generator(np.random.PCG64(31))
+            state = make_state(variant, dims, cfg)
+            ref = {"m": np.zeros(shape), "v": np.zeros(shape), "t": 0}
+            ref["sm"] = _ref_acc(dims, cfg.beta2, cfg.eps1)
+            ref["instab"] = _ref_acc(dims, cfg.beta3, cfg.eps2)
+            theta = theta_ref = rng.standard_normal(shape)
+            for _ in range(60):
+                g = rng.standard_normal(shape) * rng.uniform(0.01, 10.0)
+                theta = step_param(theta, g, state, cfg)
+                theta_ref = reference_step(variant, theta_ref, g, ref, cfg)
+                assert np.array_equal(theta, theta_ref)
+                assert np.array_equal(state.m, ref["m"])

@@ -174,6 +174,39 @@ def test_mlp_param_manifest():
         cube.storage_shapes()
 
 
+@pytest.mark.parametrize(
+    "dims", [(16, 32, 1, 512), (12, 20, 3, 40)], ids=["defaults", "multi-output"]
+)
+def test_mlp_loss_and_grad_match_allocating_reference_bitwise(dims):
+    # plain transcription of the forward and backward pass, one fresh array per
+    # operation, in the same order as the in-place problem code
+    in_dim, hidden_dim, out_dim, n_samples = dims
+    p = make_mlp1(in_dim, hidden_dim, out_dim, seed=3, n_samples=n_samples)
+    x, y = p.dataset.inputs, p.dataset.targets
+    rng = rng_from_seed(4)
+    for _ in range(5):
+        params = {
+            name: rng.uniform(-1.0, 1.0, size=shape) for name, shape in p.storage_shapes().items()
+        }
+        before = {name: value.copy() for name, value in params.items()}
+        h = np.tanh(x @ params["w1"] + params["b1"].T)
+        y_hat = h @ params["w2"] + params["b2"].T
+        d_out = 2.0 * (y_hat - y) / float(n_samples * out_dim)
+        d_z = (d_out @ params["w2"].T) * (1.0 - np.square(h))
+        expected = {
+            "w1": x.T @ d_z,
+            "b1": d_z.sum(axis=0).reshape(hidden_dim, 1),
+            "w2": h.T @ d_out,
+            "b2": d_out.sum(axis=0).reshape(out_dim, 1),
+        }
+        assert p.loss(params) == float(np.mean(np.square(y_hat - y)))
+        grads = p.grad(params)
+        for name, value in expected.items():
+            assert np.array_equal(grads[name], value)
+        for name, value in before.items():
+            assert np.array_equal(params[name], value)
+
+
 def _train_mlp(variant, steps=200, init_seed=5):
     p = make_mlp1(seed=0)
     cfg = OptimizerConfig(lr=1e-3)

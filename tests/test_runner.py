@@ -1,10 +1,12 @@
+import dataclasses
 import os
 
 import numpy as np
 import pytest
 
 from came_opt.memory_model import state_elements
-from came_opt.optimizers import InvalidConfig, OptimizerConfig
+from came_opt import runner as runner_module
+from came_opt.optimizers import VARIANTS, InvalidConfig, OptimizerConfig
 from came_opt.problems import build_problem
 from came_opt.runner import (
     RunConfig,
@@ -52,6 +54,28 @@ def test_run_rejects_unknown_optimizer():
 def test_run_propagates_bad_problem():
     with pytest.raises(ValueError, match="unknown problem"):
         run(quad_config(problem="nope", problem_args={}))
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_run_names_parameter_and_step_of_a_non_finite_gradient(monkeypatch, variant):
+    build = runner_module.build_problem
+
+    def build_poisoned(name, args):
+        problem = build(name, args)
+        calls = []
+
+        def grad(params):
+            grads = problem.grad(params)
+            calls.append(None)
+            if len(calls) == 3:
+                grads["theta"][1, 0] = np.nan
+            return grads
+
+        return dataclasses.replace(problem, grad=grad)
+
+    monkeypatch.setattr(runner_module, "build_problem", build_poisoned)
+    with pytest.raises(ValueError, match=r"parameter 'theta' at step 3: gradient has non-finite"):
+        run(quad_config(optimizer=variant))
 
 
 def test_run_is_deterministic_in_memory():
