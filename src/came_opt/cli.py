@@ -18,6 +18,8 @@ import sys
 from typing import Callable, Dict, List, Optional, Sequence
 
 from .memory_model import (
+    _BUNDLED,
+    MEMORY_OPTIMIZERS,
     bundled_manifest,
     load_manifest,
     render_table,
@@ -273,15 +275,18 @@ def _cmd_grad_check(args: argparse.Namespace) -> int:
 
 def _cmd_memory(args: argparse.Namespace) -> int:
     opts = _resolve(args, "memory")
-    name = str(opts["manifest"])
-    width = int(opts["width"])
-    try:
-        manifest = bundled_manifest(name, element_width_bytes=width)
-    except ValueError:
-        manifest = load_manifest(name, element_width_bytes=width)
-    if int(opts["scale"]) != 1:
-        manifest = scale_manifest(manifest, int(opts["scale"]))
-    rep = report(manifest, baseline=str(opts["baseline"]))
+    name, baseline = str(opts["manifest"]), str(opts["baseline"])
+    width, scale = int(opts["width"]), int(opts["scale"])
+    for field, value in (("width", width), ("scale", scale)):
+        if value < 1:
+            raise InvalidConfig(field, f"must be a positive integer, got {value}")
+    if baseline not in MEMORY_OPTIMIZERS:
+        raise InvalidConfig("baseline", f"expected one of {MEMORY_OPTIMIZERS}, got {baseline!r}")
+    load = bundled_manifest if name in _BUNDLED else load_manifest
+    manifest = load(name, element_width_bytes=width)
+    if scale != 1:
+        manifest = scale_manifest(manifest, scale)
+    rep = report(manifest, baseline=baseline)
     print(render_table(rep))
     if opts["out"]:
         path = f"{opts['out']}_memory.json"

@@ -11,7 +11,7 @@ the instability accumulator, which differ only in decay and epsilon.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -120,16 +120,14 @@ def factored_update(state: FactoredEMA, x: Matrix) -> FactoredEMA:
     """
     if x.shape != state.shape:
         raise ValueError(f"shape mismatch: accumulator {state.shape}, input {x.shape}")
-    if np.any(x < 0.0):
+    # np.any(x < 0.0) without a bool mask: fmin skips NaN, inf seeds an empty x
+    if np.fmin.reduce(x, axis=None, initial=np.inf) < 0.0:
         raise ValueError("factored accumulators only accept nonnegative input")
     shifted = x + state.epsilon
     d = state.decay
-    return replace(
-        state,
-        row_acc=d * state.row_acc + (1.0 - d) * row_sums(shifted),
-        col_acc=d * state.col_acc + (1.0 - d) * col_sums(shifted),
-        step_count=state.step_count + 1,
-    )
+    row = d * state.row_acc + (1.0 - d) * row_sums(shifted)
+    col = d * state.col_acc + (1.0 - d) * col_sums(shifted)
+    return FactoredEMA(row, col, d, state.epsilon, state.step_count + 1)
 
 
 def factored_reconstruct(state: FactoredEMA) -> Matrix:
@@ -143,14 +141,14 @@ def full_update(state: FullEMA, x: Matrix) -> FullEMA:
     """Entrywise counterpart of factored_update for unfactored accumulators."""
     if x.shape != state.shape:
         raise ValueError(f"shape mismatch: accumulator {state.shape}, input {x.shape}")
-    if np.any(x < 0.0):
+    if np.fmin.reduce(x, axis=None, initial=np.inf) < 0.0:  # np.any(x < 0.0)
         raise ValueError("full accumulators only accept nonnegative input")
     d = state.decay
     shifted = x + state.epsilon
     shifted *= 1.0 - d
     acc = d * state.acc
     acc += shifted  # d * acc + (1 - d) * (x + epsilon), without a third temporary
-    return replace(state, acc=acc, step_count=state.step_count + 1)
+    return FullEMA(acc, d, state.epsilon, state.step_count + 1)
 
 
 def full_reconstruct(state: FullEMA) -> Matrix:

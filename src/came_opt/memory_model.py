@@ -14,6 +14,7 @@ ships with the package.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from importlib import resources
 from typing import Dict, Tuple
@@ -40,13 +41,7 @@ class ShapeManifest:
                 raise ValueError(f"entry {name!r} has invalid dims {dims}")
 
     def total_parameters(self) -> int:
-        total = 0
-        for _, dims in self.entries:
-            count = 1
-            for d in dims:
-                count *= d
-            total += count
-        return total
+        return sum(math.prod(dims) for _, dims in self.entries)
 
 
 def state_elements(optimizer: str, dims: Tuple[int, ...]) -> int:
@@ -117,9 +112,7 @@ def report(manifest: ShapeManifest, baseline: str = "adam") -> MemoryReport:
         for name, dims in manifest.entries:
             per_entry[name] = per_entry.get(name, 0) + state_elements(opt, dims)
         breakdown[opt] = per_entry
-        totals[opt] = sum(
-            state_elements(opt, dims) for _, dims in manifest.entries
-        )
+        totals[opt] = sum(per_entry.values())
     width = manifest.element_width_bytes
     base = totals[baseline]
     return MemoryReport(

@@ -193,8 +193,9 @@ def mlp1_from_data(
         return h, y_hat
 
     def loss(params: Params) -> float:
-        _, y_hat = forward(params)
-        return float(np.mean(np.square(y_hat - y)))
+        _, err = forward(params)  # y_hat, a fresh array, becomes the squared error
+        err -= y
+        return float(np.add.reduce(np.square(err, out=err), axis=None) / denom)  # np.mean
 
     def grad(params: Params) -> Params:
         h, y_hat = forward(params)

@@ -130,8 +130,9 @@ def run(config: RunConfig) -> RunResult:
             # the old theta is the run's own array: it becomes the squared update
             delta = np.subtract(new_theta, params[name], out=params[name])
             params[name] = new_theta
-            g_sq += float(np.sum(np.square(g)))
-            u_sq += float(np.sum(np.square(delta, out=delta)))
+            # np.sum(a) is np.add.reduce(a, axis=None) behind two Python frames
+            g_sq += float(np.add.reduce(np.square(g), axis=None))
+            u_sq += float(np.add.reduce(np.square(delta, out=delta), axis=None))
             count += g.size
         grad_rec[t - 1] = math.sqrt(g_sq / count)
         upd_rec[t - 1] = math.sqrt(u_sq / count)

@@ -35,19 +35,19 @@ def _check(m, name: str = "matrix") -> Matrix:
 def row_sums(m: Matrix) -> Matrix:
     """Sum each row: n x m -> n x 1."""
     _check(m)
-    return m.sum(axis=1, keepdims=True)
+    return np.add.reduce(m, axis=1, keepdims=True)
 
 
 def col_sums(m: Matrix) -> Matrix:
     """Sum each column: n x m -> 1 x m."""
     _check(m)
-    return m.sum(axis=0, keepdims=True)
+    return np.add.reduce(m, axis=0, keepdims=True)
 
 
 def rms(m: Matrix) -> float:
-    """Root mean square of all entries."""
+    """Root mean square of all entries; np.mean's own reduction, called directly."""
     _check(m)
-    return math.sqrt(float(np.mean(np.square(m))))
+    return math.sqrt(np.add.reduce(np.square(m), axis=None) / m.size)
 
 
 def outer_quotient(r: Matrix, c: Matrix) -> Matrix:
@@ -61,9 +61,10 @@ def outer_quotient(r: Matrix, c: Matrix) -> Matrix:
         raise ValueError(f"r must be a column vector, got shape {r.shape}")
     if c.shape[0] != 1:
         raise ValueError(f"c must be a row vector, got shape {c.shape}")
-    if np.any(r <= 0.0):
+    # np.any(r <= 0.0) as one reduction: fmin skips NaN, inf seeds an empty r
+    if np.fmin.reduce(r, axis=None, initial=math.inf) <= 0.0:
         raise ValueError("outer_quotient requires strictly positive r entries")
-    denom = float(r.sum())
+    denom = float(np.add.reduce(r, axis=None))
     if denom <= 0.0:
         raise ValueError("outer_quotient requires a positive row-factor total")
     # each entry is the single product r_i * c_j, the same value r @ c gives, so

@@ -205,3 +205,21 @@ def test_memory_cli_missing_file(capsys):
     code, _, err = run_cli(capsys, "memory", "--manifest", "/no/such/file.txt")
     assert code == 1
     assert "message" in read_error(err)
+
+
+def test_memory_cli_validates_width_scale_and_baseline(capsys):
+    for argv, field in (
+        (("--width", "0"), "width"),
+        (("--width", "-4"), "width"),
+        (("--scale", "0"), "scale"),
+        (("--baseline", "sgd"), "baseline"),
+        (("--manifest", "bert-large", "--baseline", "nope", "--width", "2"), "baseline"),
+    ):
+        code, _, err = run_cli(capsys, "memory", *argv)
+        assert code == 1
+        payload = read_error(err)
+        assert payload["field"] == field
+        assert "No such file" not in payload["message"]
+    code, stdout, _ = run_cli(capsys, "memory", "--width", "2", "--baseline", "came")
+    assert code == 0
+    assert "state element width 2 B" in stdout and "vs came" in stdout

@@ -137,6 +137,55 @@ def test_factored_update_validates():
         factored_update(state, np.array([[1.0, -1.0], [0.0, 0.0]]))
 
 
+# each nonnegativity check must reject exactly the inputs np.any(x < 0.0) flags
+def check_inputs():
+    """3 x 4 positive matrices with special entries planted, plus edge cases."""
+    base = np.random.Generator(np.random.PCG64(21)).uniform(0.5, 2.0, size=(3, 4))
+    cases = {}
+    for value in (0.0, -0.0, -1e-300, 1e-300, -np.inf, np.inf, np.nan):
+        x = base.copy()
+        x[1, 2] = value
+        cases[repr(value)] = x
+    for first, second in ((np.nan, -1.0), (-1.0, np.nan), (np.nan, -0.0), (np.nan, np.inf)):
+        x = base.copy()
+        x[0, 0], x[2, 3] = first, second
+        cases[f"{first!r}+{second!r}"] = x
+    cases.update(
+        all_nan=np.full((3, 4), np.nan),
+        all_negative_zero=np.full((3, 4), -0.0),
+        all_negative=-base,
+        empty=np.zeros((0, 4)),
+    )
+    return cases
+
+
+CHECK_INPUTS = check_inputs()
+
+
+def rejects(fn, *args, match):
+    try:
+        fn(*args)
+    except ValueError as exc:
+        if match in str(exc):
+            return True
+        raise
+    return False
+
+
+@pytest.mark.parametrize("case", sorted(CHECK_INPUTS))
+def test_nonnegativity_checks_reject_exactly_what_the_mask_rejected(case):
+    x = CHECK_INPUTS[case]
+    expected = bool(np.any(x < 0.0))
+    n, m = x.shape
+    with np.errstate(invalid="ignore"):
+        got_factored = rejects(
+            factored_update, FactoredEMA.fresh(n, m, 0.9, 0.0), x, match="nonnegative"
+        )
+        got_full = rejects(full_update, FullEMA.fresh(n, m, 0.9, 0.0), x, match="nonnegative")
+    assert got_factored == expected
+    assert got_full == expected
+
+
 def test_reconstruct_scalar_equals_col_acc():
     state = FactoredEMA.fresh(1, 1, decay=0.99, epsilon=1e-12)
     state = factored_update(state, np.array([[2.0]]))

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import os
 
 import numpy as np
@@ -6,8 +7,8 @@ import pytest
 
 from came_opt.memory_model import state_elements
 from came_opt import runner as runner_module
-from came_opt.optimizers import VARIANTS, InvalidConfig, OptimizerConfig
-from came_opt.problems import build_problem
+from came_opt.optimizers import VARIANTS, InvalidConfig, OptimizerConfig, make_state, step_param
+from came_opt.problems import build_problem, initial_params
 from came_opt.runner import (
     RunConfig,
     compare,
@@ -76,6 +77,28 @@ def test_run_names_parameter_and_step_of_a_non_finite_gradient(monkeypatch, vari
     monkeypatch.setattr(runner_module, "build_problem", build_poisoned)
     with pytest.raises(ValueError, match=r"parameter 'theta' at step 3: gradient has non-finite"):
         run(quad_config(optimizer=variant))
+
+
+@pytest.mark.parametrize("variant", ["came", "adam"])
+def test_run_rms_columns_match_a_plain_transcription_bitwise(variant):
+    steps = 6
+    result = run(RunConfig(problem="mlp1", optimizer=variant, steps=steps, seed=3))
+    problem = build_problem("mlp1", {})
+    params = initial_params(problem, 3)
+    cfg = OptimizerConfig()
+    states = {name: make_state(variant, dims, cfg) for name, dims in problem.param_specs}
+    for t in range(steps):
+        grads = problem.grad(params)
+        g_sq = u_sq = 0.0
+        count = 0
+        for name, _ in problem.param_specs:
+            new = step_param(params[name], grads[name], states[name], cfg)
+            g_sq += float(np.sum(np.square(grads[name])))
+            u_sq += float(np.sum(np.square(new - params[name])))
+            count += new.size
+            params[name] = new
+        assert result.trace.grad_rms[t] == math.sqrt(g_sq / count)
+        assert result.trace.update_rms[t] == math.sqrt(u_sq / count)
 
 
 def test_run_is_deterministic_in_memory():

@@ -65,6 +65,27 @@ def test_outer_quotient_rejects_bad_factors():
         outer_quotient(np.array([[1.0, 2.0]]), np.array([[1.0]]))
 
 
+@pytest.mark.parametrize(
+    "special", [0.0, -0.0, -1e-300, 1e-300, -np.inf, np.inf, np.nan, "nan-and-negative", "empty"]
+)
+def test_outer_quotient_rejects_exactly_what_the_mask_rejected(special):
+    r = np.array([[0.5], [1.5], [2.0]])
+    if special == "nan-and-negative":
+        r[0, 0], r[2, 0] = np.nan, -1.0
+    elif special == "empty":
+        r = np.zeros((0, 1))
+    else:
+        r[1, 0] = special
+    expected = bool(np.any(r <= 0.0))
+    try:
+        with np.errstate(invalid="ignore"):
+            outer_quotient(r, np.array([[1.0, 3.0]]))
+        rejected = False
+    except ValueError as exc:
+        rejected = "strictly positive r entries" in str(exc)
+    assert rejected == expected
+
+
 def test_sum_consistency_random():
     # total of row sums == total of col sums == total of entries
     rng = np.random.Generator(np.random.PCG64(11))
@@ -78,10 +99,13 @@ def test_sum_consistency_random():
 
 def test_rms_scaling_random():
     rng = np.random.Generator(np.random.PCG64(12))
-    for _ in range(25):
-        mat = rng.standard_normal((rng.integers(1, 20), rng.integers(1, 20)))
+    for i in range(26):
+        shape = (512, 640) if i == 25 else (rng.integers(1, 20), rng.integers(1, 20))
+        mat = rng.standard_normal(shape)
         lam = float(rng.uniform(-5, 5))
         assert rms(mat * lam) == pytest.approx(abs(lam) * rms(mat), rel=1e-12)
+        # the direct reduction is np.mean's, bit for bit, also past the pairwise-sum blocks
+        assert rms(mat) == math.sqrt(float(np.mean(np.square(mat))))
 
 
 def test_outer_quotient_row_sums_identity():
