@@ -1,11 +1,8 @@
 """CAME, Adafactor and Adam on a minimal matrix core, with a benchmark harness."""
 
 from .factored_moment import (
-    FactoredEMA,
-    FullEMA,
     factored_reconstruct,
     factored_update,
-    full_reconstruct,
     full_update,
     generalized_kl,
     nmf_rank1,
@@ -25,7 +22,7 @@ from .optimizers import (
     OptimizerState,
     clip_by_rms,
     make_state,
-    state_element_count,
+    state_shapes,
     step_param,
     warmup_lr,
 )

@@ -125,7 +125,9 @@ _OPTIONS: Dict[str, tuple] = {
     "width": ("--width", int, 4, "bytes per state element"),
 }
 
+# The OptimizerConfig options; each name is its config field, except as renamed here.
 _HYPER = ("lr", "beta1", "beta2", "beta3", "eps1", "eps2", "eps3", "clip_d", "warmup")
+_HYPER_FIELD = {"warmup": "warmup_steps"}
 
 # The options each subcommand takes, in help order, and its own defaults.
 _COMMAND_OPTS: Dict[str, tuple] = {
@@ -179,17 +181,8 @@ def _resolve(args: argparse.Namespace, command: str) -> Dict[str, object]:
 
 
 def _optimizer_config(opts: Dict[str, object]) -> OptimizerConfig:
-    return OptimizerConfig(
-        lr=opts["lr"],
-        beta1=opts["beta1"],
-        beta2=opts["beta2"],
-        beta3=opts["beta3"],
-        eps1=opts["eps1"],
-        eps2=opts["eps2"],
-        eps3=opts["eps3"],
-        clip_d=opts["clip_d"],
-        warmup_steps=opts["warmup"],
-    ).validate()
+    fields = {_HYPER_FIELD.get(name, name): opts[name] for name in _HYPER}
+    return OptimizerConfig(**fields).validate()
 
 
 def _require(opts: Dict[str, object], name: str) -> object:
@@ -234,6 +227,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     seeds = _parse_seeds(str(opts["seeds"]))
     if not seeds:
         raise InvalidConfig("seeds", "expected at least one seed")
+    if len(set(seeds)) != len(seeds):
+        raise InvalidConfig("seeds", f"expected distinct seeds, got {opts['seeds']!r}")
     opt_cfg = _optimizer_config(opts)
     configs = [
         RunConfig(

@@ -1,81 +1,24 @@
-"""Rank-1 nonnegative factorization and the smoothed accumulators built on it.
+"""Rank-1 nonnegative factorization and the moving averages built on it.
 
 The closed-form factorization of a nonnegative matrix V into a column factor
 W = V 1 and a row factor H = 1^T V / 1^T V 1 minimizes the generalized
 Kullback-Leibler divergence to V among all rank-1 nonnegative matrices. An
 optimizer never stores V itself: it keeps exponential moving averages of the
 row-sum and column-sum factors and reconstructs the rank-1 surrogate on
-demand. The same machinery serves both the squared-gradient accumulator and
-the instability accumulator, which differ only in decay and epsilon.
+demand. The same functions serve both the squared-gradient accumulator and
+the instability accumulator, which differ only in decay and epsilon. An
+accumulator is plain arrays: a factored one is an n x 1 row factor and a
+1 x m column factor, an unfactored one is a single array; the update
+functions return new arrays and never write their inputs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 
 from .tensor import Matrix, col_sums, outer_quotient, row_sums
-
-
-def _check_smoothing(decay: float, epsilon: float) -> None:
-    if not 0.0 < decay < 1.0:
-        raise ValueError(f"decay must be in (0, 1), got {decay}")
-    if epsilon < 0.0:
-        raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
-
-
-@dataclass(frozen=True)
-class FactoredEMA:
-    """Moving averages of the row-sum and column-sum factors of an n x m accumulator."""
-
-    row_acc: Matrix  # n x 1
-    col_acc: Matrix  # 1 x m
-    decay: float
-    epsilon: float
-    step_count: int = 0
-
-    def __post_init__(self):
-        _check_smoothing(self.decay, self.epsilon)
-        if self.row_acc.shape[1] != 1 or self.col_acc.shape[0] != 1:
-            raise ValueError(
-                f"factor shapes must be (n, 1) and (1, m), got "
-                f"{self.row_acc.shape} and {self.col_acc.shape}"
-            )
-
-    @property
-    def shape(self) -> tuple:
-        return (self.row_acc.shape[0], self.col_acc.shape[1])
-
-    @classmethod
-    def fresh(cls, rows: int, cols: int, decay: float, epsilon: float) -> "FactoredEMA":
-        return cls(
-            row_acc=np.zeros((rows, 1)),
-            col_acc=np.zeros((1, cols)),
-            decay=decay,
-            epsilon=epsilon,
-        )
-
-
-@dataclass(frozen=True)
-class FullEMA:
-    """Unfactored fallback accumulator for vector and scalar parameters."""
-
-    acc: Matrix
-    decay: float
-    epsilon: float
-    step_count: int = 0
-
-    def __post_init__(self):
-        _check_smoothing(self.decay, self.epsilon)
-
-    @property
-    def shape(self) -> tuple:
-        return self.acc.shape
-
-    @classmethod
-    def fresh(cls, rows: int, cols: int, decay: float, epsilon: float) -> "FullEMA":
-        return cls(acc=np.zeros((rows, cols)), decay=decay, epsilon=epsilon)
 
 
 def nmf_rank1(v: Matrix) -> tuple:
@@ -111,47 +54,44 @@ def generalized_kl(v: Matrix, a: Matrix) -> float:
     return log_term - float(v.sum()) + float(a.sum())
 
 
-def factored_update(state: FactoredEMA, x: Matrix) -> FactoredEMA:
-    """Fold a nonnegative matrix into the factor averages.
+def factored_update(
+    row: Matrix, col: Matrix, x: Matrix, decay: float, epsilon: float
+) -> Tuple[Matrix, Matrix]:
+    """Fold a nonnegative n x m matrix into the n x 1 and 1 x m factor averages.
 
-    epsilon is added to every entry of x before the row and column sums are
-    taken, each step, which keeps both factors strictly positive whenever
-    epsilon > 0.
+    Returns the new (row, col); the inputs are not written. epsilon is added
+    to every entry of x before the row and column sums are taken, each step,
+    which keeps both factors strictly positive whenever epsilon > 0.
     """
-    if x.shape != state.shape:
-        raise ValueError(f"shape mismatch: accumulator {state.shape}, input {x.shape}")
+    n, m = x.shape
+    if row.shape != (n, 1) or col.shape != (1, m):
+        raise ValueError(f"shape mismatch: factors {row.shape} and {col.shape}, input {x.shape}")
     # np.any(x < 0.0) without a bool mask: fmin skips NaN, inf seeds an empty x
     if np.fmin.reduce(x, axis=None, initial=np.inf) < 0.0:
         raise ValueError("factored accumulators only accept nonnegative input")
-    shifted = x + state.epsilon
-    d = state.decay
-    row = d * state.row_acc + (1.0 - d) * row_sums(shifted)
-    col = d * state.col_acc + (1.0 - d) * col_sums(shifted)
-    return FactoredEMA(row, col, d, state.epsilon, state.step_count + 1)
+    shifted = x + epsilon
+    row = decay * row + (1.0 - decay) * row_sums(shifted)
+    col = decay * col + (1.0 - decay) * col_sums(shifted)
+    return row, col
 
 
-def factored_reconstruct(state: FactoredEMA) -> Matrix:
-    """Rank-1 reconstruction row_acc * col_acc / sum(row_acc)."""
-    if state.step_count == 0:
-        raise ValueError("cannot reconstruct from an accumulator with no updates")
-    return outer_quotient(state.row_acc, state.col_acc)
+def factored_reconstruct(row: Matrix, col: Matrix) -> Matrix:
+    """Rank-1 reconstruction row * col / sum(row); a zero factor (no updates yet) is rejected.
+
+    The reconstruction stage of the step, named apart from `outer_quotient` so
+    that per-layer timings (perfbench's tracer) can attribute it.
+    """
+    return outer_quotient(row, col)
 
 
-def full_update(state: FullEMA, x: Matrix) -> FullEMA:
-    """Entrywise counterpart of factored_update for unfactored accumulators."""
-    if x.shape != state.shape:
-        raise ValueError(f"shape mismatch: accumulator {state.shape}, input {x.shape}")
+def full_update(acc: Matrix, x: Matrix, decay: float, epsilon: float) -> Matrix:
+    """Entrywise counterpart of factored_update: decay * acc + (1 - decay) * (x + epsilon)."""
+    if x.shape != acc.shape:
+        raise ValueError(f"shape mismatch: accumulator {acc.shape}, input {x.shape}")
     if np.fmin.reduce(x, axis=None, initial=np.inf) < 0.0:  # np.any(x < 0.0)
         raise ValueError("full accumulators only accept nonnegative input")
-    d = state.decay
-    shifted = x + state.epsilon
-    shifted *= 1.0 - d
-    acc = d * state.acc
-    acc += shifted  # d * acc + (1 - d) * (x + epsilon), without a third temporary
-    return FullEMA(acc, d, state.epsilon, state.step_count + 1)
-
-
-def full_reconstruct(state: FullEMA) -> Matrix:
-    if state.step_count == 0:
-        raise ValueError("cannot reconstruct from an accumulator with no updates")
-    return state.acc
+    shifted = x + epsilon
+    shifted *= 1.0 - decay
+    new = decay * acc
+    new += shifted  # without a third temporary
+    return new

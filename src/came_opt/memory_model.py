@@ -19,9 +19,19 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Dict, Tuple
 
+from .optimizers import state_shapes
+
 ManifestEntry = Tuple[str, Tuple[int, ...]]
 
-MEMORY_OPTIMIZERS = ("adam", "lamb", "adafactor", "sm3", "came")
+# each modelled optimizer -> the optimizer variant whose state layout it shares
+_LAYOUT_OF = {
+    "adam": "adam",
+    "lamb": "adam",
+    "adafactor": "adafactor",
+    "sm3": "adafactor",
+    "came": "came",
+}
+MEMORY_OPTIMIZERS = tuple(_LAYOUT_OF)
 
 _BUNDLED = {"bert-large": "bert_large.txt"}
 
@@ -47,33 +57,15 @@ class ShapeManifest:
 def state_elements(optimizer: str, dims: Tuple[int, ...]) -> int:
     """Persistent state elements one optimizer keeps for a parameter of dims.
 
-    adam and lamb store two full moments. adafactor stores momentum plus the
-    two rank-1 factors (or a full accumulator for 1-D). came adds a second
-    factor pair for the instability average. sm3 is counted as momentum plus
-    row/column covers, the same footprint as adafactor.
+    The count of the arrays `optimizers.state_shapes` lays out. lamb keeps
+    the same two full moments as adam; sm3 (momentum plus row/column covers)
+    is counted with adafactor's footprint.
     """
     if optimizer not in MEMORY_OPTIMIZERS:
         raise ValueError(
             f"unknown optimizer {optimizer!r}, expected one of {MEMORY_OPTIMIZERS}"
         )
-    dims = tuple(int(d) for d in dims)
-    if any(d < 1 for d in dims):
-        raise ValueError(f"dims must be positive, got {dims}")
-    if len(dims) == 1:
-        n = dims[0]
-        if optimizer in ("adam", "lamb"):
-            return 2 * n
-        if optimizer == "came":
-            return 3 * n
-        return 2 * n  # adafactor, sm3: momentum + full accumulator
-    if len(dims) == 2:
-        n, m = dims
-        if optimizer in ("adam", "lamb"):
-            return 2 * n * m
-        if optimizer == "came":
-            return n * m + 2 * (n + m)
-        return n * m + n + m  # adafactor, sm3
-    raise ValueError(f"parameters must be 1-D or 2-D, got dims {dims}")
+    return sum(math.prod(shape) for shape in state_shapes(_LAYOUT_OF[optimizer], dims).values())
 
 
 @dataclass(frozen=True)

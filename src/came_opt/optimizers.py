@@ -12,10 +12,12 @@ adam (classic bias-corrected first/second moments, the baseline) is a
 separate short branch.
 
 All parameters are 2-D float64 matrices; a logically 1-D parameter of n
-entries is stored as an n x 1 column and uses unfactored accumulators, so
-the memory claims of the factored variants survive the fallback. A step
-either completes and advances the state exactly once, or raises and leaves
-the state untouched; a gradient with a NaN or infinite entry raises.
+entries is stored as an n x 1 column. `state_shapes` lays out each
+parameter's persistent state and keeps a 1-D parameter's accumulators
+unfactored, so the memory claims of the factored variants survive the
+fallback. A step either completes and advances the state exactly once, or
+raises and leaves the state untouched; a gradient with a NaN or infinite
+entry raises.
 
 A step works in place on the arrays it allocates itself, so only the new
 theta and the new state's arrays outlive it. Every expression keeps its
@@ -27,23 +29,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .factored_moment import (
-    FactoredEMA,
-    FullEMA,
-    factored_reconstruct,
-    factored_update,
-    full_reconstruct,
-    full_update,
-)
+from .factored_moment import factored_reconstruct, factored_update, full_update
 from .tensor import Matrix, rms, storage_shape
 
 VARIANTS = ("adafactor", "came", "adam", "raw_confidence")
-
-Accumulator = Union[FactoredEMA, FullEMA]
 
 
 class InvalidConfig(ValueError):
@@ -97,44 +90,65 @@ class OptimizerConfig:
         return self
 
 
-@dataclass
-class OptimizerState:
-    """Per-parameter persistent state for one optimizer variant."""
+def state_shapes(variant: str, dims: Tuple[int, ...]) -> Dict[str, Tuple[int, int]]:
+    """The persistent state one parameter of logical dims needs: field -> storage shape.
 
-    variant: str
-    dims: Tuple[int, ...]  # logical parameter dims, length 1 or 2
-    m: Matrix  # update momentum, parameter-shaped
-    second_moment: Optional[Accumulator] = None
-    instability: Optional[Accumulator] = None  # came only
-    adam_v: Optional[Matrix] = None  # adam only
-    t: int = 0
-
-
-def make_state(variant: str, dims: Tuple[int, ...], cfg: OptimizerConfig) -> OptimizerState:
-    """Zero-initialized state for one parameter of the given logical dims."""
+    The only place the layout rule lives: `make_state` allocates these
+    arrays, and `memory_model` and the runner count them. Every variant keeps
+    a parameter-shaped momentum `m`. adam keeps a parameter-shaped second
+    moment `v`. adafactor and raw_confidence keep the second moment, and came
+    also its instability average `s`, factored (`*_row` n x 1, `*_col` 1 x m)
+    for a 2-D parameter and full (n x 1) for a 1-D one.
+    """
     if variant not in VARIANTS:
         raise ValueError(f"unknown optimizer {variant!r}, expected one of {VARIANTS}")
     dims = tuple(int(d) for d in dims)
     if any(d < 1 for d in dims):
         raise ValueError(f"parameter dims must be positive, got {dims}")
     rows, cols = storage_shape(dims)
-    factored = len(dims) == 2
-
-    state = OptimizerState(variant=variant, dims=dims, m=np.zeros((rows, cols)))
+    shapes = {"m": (rows, cols)}
     if variant == "adam":
-        state.adam_v = np.zeros((rows, cols))
-        return state
-
-    if factored:
-        state.second_moment = FactoredEMA.fresh(rows, cols, cfg.beta2, cfg.eps1)
-    else:
-        state.second_moment = FullEMA.fresh(rows, cols, cfg.beta2, cfg.eps1)
-    if variant == "came":
-        if factored:
-            state.instability = FactoredEMA.fresh(rows, cols, cfg.beta3, cfg.eps2)
+        shapes["v"] = (rows, cols)
+        return shapes
+    for name in ("v", "s") if variant == "came" else ("v",):
+        if len(dims) == 2:
+            shapes[name + "_row"], shapes[name + "_col"] = (rows, 1), (1, cols)
         else:
-            state.instability = FullEMA.fresh(rows, cols, cfg.beta3, cfg.eps2)
-    return state
+            shapes[name] = (rows, cols)
+    return shapes
+
+
+@dataclass
+class OptimizerState:
+    """Per-parameter persistent state: the arrays `state_shapes` lays out, and the step count.
+
+    A field the variant's layout leaves out stays None. In the paper's
+    Algorithm 1, v_row/v_col are r_t/c_t and s_row/s_col are R_t/C_t; decay
+    and epsilon of each average come from the OptimizerConfig of the step.
+    """
+
+    variant: str
+    dims: Tuple[int, ...]  # logical parameter dims, length 1 or 2
+    m: Matrix  # update momentum, parameter-shaped
+    v: Optional[Matrix] = None  # full second moment: adam, or a 1-D parameter
+    v_row: Optional[Matrix] = None  # factored second moment of a 2-D parameter
+    v_col: Optional[Matrix] = None
+    s: Optional[Matrix] = None  # came's instability average, full (1-D parameter)
+    s_row: Optional[Matrix] = None  # ... or factored (2-D parameter)
+    s_col: Optional[Matrix] = None
+    t: int = 0
+
+
+def make_state(variant: str, dims: Tuple[int, ...], cfg: OptimizerConfig) -> OptimizerState:
+    """Zero-initialized state for one parameter of the given logical dims.
+
+    Raises InvalidConfig naming the field when cfg holds an out-of-range
+    decay, a negative epsilon or any other invalid hyperparameter.
+    """
+    cfg.validate()
+    dims = tuple(int(d) for d in dims)
+    arrays = {name: np.zeros(shape) for name, shape in state_shapes(variant, dims).items()}
+    return OptimizerState(variant=variant, dims=dims, **arrays)
 
 
 def clip_by_rms(u: Matrix, d: float) -> Matrix:
@@ -153,27 +167,10 @@ def warmup_lr(t: int, cfg: OptimizerConfig) -> float:
     return cfg.lr
 
 
-def _acc_update(acc: Accumulator, x: Matrix) -> Accumulator:
-    if isinstance(acc, FactoredEMA):
-        return factored_update(acc, x)
-    return full_update(acc, x)
-
-
-def _acc_root(acc: Accumulator, what: str, out: Optional[Matrix] = None) -> Matrix:
-    """sqrt of the accumulator's reconstruction, into `out` or a fresh array.
-
-    A factored reconstruction is fresh, so without `out` it is rooted in
-    place; an unfactored one is the accumulator's own array and is never written.
-    """
-    if isinstance(acc, FactoredEMA):
-        v = _require_positive(factored_reconstruct(acc), what)
-        return np.sqrt(v, out=v if out is None else out)
-    return np.sqrt(_require_positive(full_reconstruct(acc), what), out=out)
-
-
 def _require_positive(denom: Matrix, what: str) -> Matrix:
-    # guaranteed by the epsilon floors; only reachable when they are set to 0
-    if not denom.min() > 0.0:
+    # guaranteed by the epsilon floors; only reachable when they are set to 0.
+    # denom.min() without its Python wrapper: NaN propagates and is rejected
+    if not np.minimum.reduce(denom, axis=None) > 0.0:
         raise ValueError(f"{what} has nonpositive entries; set its epsilon > 0")
     return denom
 
@@ -182,8 +179,11 @@ def _require_finite(*arrays: Matrix) -> None:
     # each array is a nonnegative sum or moving average of g^2: finite exactly
     # when every gradient entry is finite and its square does not overflow, and
     # its max, which propagates NaN, is finite exactly when all entries are
-    if not all(math.isfinite(a.max()) for a in arrays):
-        raise ValueError("gradient has non-finite entries (NaN, inf, or a square that overflows)")
+    for a in arrays:
+        if not math.isfinite(np.maximum.reduce(a, axis=None)):
+            raise ValueError(
+                "gradient has non-finite entries (NaN, inf, or a square that overflows)"
+            )
 
 
 def step_param(theta: Matrix, g: Matrix, state: OptimizerState, cfg: OptimizerConfig) -> Matrix:
@@ -197,7 +197,7 @@ def step_param(theta: Matrix, g: Matrix, state: OptimizerState, cfg: OptimizerCo
     raises (shape mismatch, non-finite gradient, nonpositive denominator)
     leaves the state as it was.
     """
-    expected = storage_shape(state.dims)
+    expected = state.m.shape
     if theta.shape != expected or g.shape != expected:
         raise ValueError(
             f"shape mismatch: state expects {expected}, "
@@ -212,7 +212,7 @@ def step_param(theta: Matrix, g: Matrix, state: OptimizerState, cfg: OptimizerCo
         m_new += buf
         np.square(g, out=buf)
         buf *= 1.0 - cfg.beta2
-        v_new = cfg.beta2 * state.adam_v
+        v_new = cfg.beta2 * state.v
         v_new += buf
         _require_finite(v_new)
         np.divide(m_new, 1.0 - cfg.beta1**t_next, out=buf)  # m_hat
@@ -223,21 +223,25 @@ def step_param(theta: Matrix, g: Matrix, state: OptimizerState, cfg: OptimizerCo
         del root
         buf *= lr
         theta_new = np.subtract(theta, buf, out=buf)
-        state.m, state.adam_v, state.t = m_new, v_new, t_next
+        state.m, state.v, state.t = m_new, v_new, t_next
         return theta_new
 
     # adafactor pipeline: fold g^2, reconstruct v, normalize, clip, momentum
-    sm = _acc_update(state.second_moment, np.square(g))
-    if isinstance(sm, FactoredEMA):
-        _require_finite(sm.row_acc, sm.col_acc)
+    v, v_row, v_col = state.v, state.v_row, state.v_col
+    if v is None:  # factored
+        v_row, v_col = factored_update(v_row, v_col, np.square(g), cfg.beta2, cfg.eps1)
+        _require_finite(v_row, v_col)
+        root = _require_positive(factored_reconstruct(v_row, v_col), "second-moment surrogate")
+        np.sqrt(root, out=root)  # the reconstruction is fresh
     else:
-        _require_finite(sm.acc)
-    root = _acc_root(sm, "second-moment surrogate")
+        v = full_update(v, np.square(g), cfg.beta2, cfg.eps1)
+        _require_finite(v)
+        root = np.sqrt(_require_positive(v, "second-moment surrogate"))
     u_hat = clip_by_rms(np.divide(g, root, out=root), cfg.clip_d)
     m_new = np.multiply(cfg.beta1, state.m, out=root)  # reuses the unclipped update's array
     del root
 
-    instab = state.instability
+    s, s_row, s_col = state.s, state.s_row, state.s_col
     if state.variant == "adafactor":
         u_hat *= 1.0 - cfg.beta1  # u_hat is not needed after the momentum
         m_new += u_hat
@@ -249,11 +253,17 @@ def step_param(theta: Matrix, g: Matrix, state: OptimizerState, cfg: OptimizerCo
             m_ref = state.m if cfg.came_residual_vs_prev else m_new
             np.subtract(u_hat, m_ref, out=buf)
             del u_hat
-            instab = _acc_update(instab, np.square(buf, out=buf))
+            np.square(buf, out=buf)
+            if s is None:  # factored
+                s_row, s_col = factored_update(s_row, s_col, buf, cfg.beta3, cfg.eps2)
+                surrogate = factored_reconstruct(s_row, s_col)
+            else:
+                s = surrogate = full_update(s, buf, cfg.beta3, cfg.eps2)
             # sqrt(s) goes into the residual's array, not into the fresh
             # reconstruction: the peak is the same, and with glibc malloc at
             # 512 x 512 a step then takes about half the minor page faults
-            _acc_root(instab, "instability surrogate", out=buf)
+            np.sqrt(_require_positive(surrogate, "instability surrogate"), out=buf)
+            del surrogate
         else:  # raw_confidence
             np.subtract(m_new, u_hat, out=buf)
             del u_hat
@@ -265,20 +275,8 @@ def step_param(theta: Matrix, g: Matrix, state: OptimizerState, cfg: OptimizerCo
         buf *= lr
     theta_new = np.subtract(theta, buf, out=buf)
 
-    state.second_moment, state.instability, state.m, state.t = sm, instab, m_new, t_next
+    state.v, state.v_row, state.v_col = v, v_row, v_col
+    state.s, state.s_row, state.s_col = s, s_row, s_col
+    state.m, state.t = m_new, t_next
     return theta_new
 
-
-def state_element_count(state: OptimizerState) -> int:
-    """Number of persistent float64 slots this state actually stores."""
-    count = state.m.size
-    if state.adam_v is not None:
-        count += state.adam_v.size
-    for acc in (state.second_moment, state.instability):
-        if acc is None:
-            continue
-        if isinstance(acc, FactoredEMA):
-            count += acc.row_acc.size + acc.col_acc.size
-        else:
-            count += acc.acc.size
-    return count

@@ -25,7 +25,7 @@ from .optimizers import (
     InvalidConfig,
     OptimizerConfig,
     make_state,
-    state_element_count,
+    state_shapes,
     step_param,
     warmup_lr,
 )
@@ -164,7 +164,11 @@ def run(config: RunConfig) -> RunResult:
         final_loss=final_loss,
         best_loss=min(float(loss_rec.min()), final_loss),
         steps_to_threshold=steps_to,
-        state_elements=sum(state_element_count(s) for s in states.values()),
+        state_elements=sum(
+            math.prod(shape)
+            for _, dims in problem.param_specs
+            for shape in state_shapes(config.optimizer, dims).values()
+        ),
         total_wall_ms=total_ms,
     )
 
@@ -296,6 +300,8 @@ def compare(configs: Sequence[RunConfig], seeds: Sequence[int]) -> CompareResult
         raise ValueError("compare needs at least one config")
     if not seeds:
         raise ValueError("compare needs at least one seed")
+    if len({int(s) for s in seeds}) != len(seeds):
+        raise ValueError(f"compare seeds must be distinct, got {list(seeds)}")
     first = configs[0]
     for cfg in configs[1:]:
         if cfg.problem != first.problem or cfg.problem_args != first.problem_args:

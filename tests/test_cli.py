@@ -1,6 +1,8 @@
+import dataclasses
 import json
 
-from came_opt.cli import main
+from came_opt.cli import _HYPER, _HYPER_FIELD, _optimizer_config, main
+from came_opt.optimizers import OptimizerConfig
 
 
 def run_cli(capsys, *argv):
@@ -162,6 +164,24 @@ def test_compare_cli_bad_seeds(capsys):
     )
     assert code == 1
     assert read_error(err)["field"] == "seeds"
+
+
+def test_compare_cli_rejects_duplicate_seeds(capsys):
+    code, _, err = run_cli(
+        capsys, "compare", "--problem", "quadratic", "--steps", "5", "--seeds", "1,1,2"
+    )
+    assert code == 1
+    payload = read_error(err)
+    assert payload["field"] == "seeds" and "distinct" in payload["message"]
+
+
+def test_every_hyperparameter_option_sets_its_config_field():
+    fields = {f.name for f in dataclasses.fields(OptimizerConfig)}
+    assert {_HYPER_FIELD.get(name, name) for name in _HYPER} <= fields
+    # distinct valid values, so an option wired to the wrong field shows
+    values = dict(lr=0.5, beta1=0.11, beta2=0.12, beta3=0.13, eps1=0.01, eps2=0.02, eps3=0.03)
+    opts = {**values, "clip_d": 2.5, "warmup": 7}
+    assert _optimizer_config(opts) == OptimizerConfig(**values, clip_d=2.5, warmup_steps=7)
 
 
 def test_grad_check_cli_passes(capsys):

@@ -4,20 +4,28 @@ import numpy as np
 import pytest
 
 from came_opt.factored_moment import (
-    FactoredEMA,
-    FullEMA,
     factored_reconstruct,
     factored_update,
-    full_reconstruct,
     full_update,
     generalized_kl,
     nmf_rank1,
+)
+from came_opt.optimizers import (
+    InvalidConfig,
+    OptimizerConfig,
+    _require_finite,
+    _require_positive,
+    make_state,
 )
 from came_opt.tensor import row_sums, col_sums
 
 
 def rand_nonneg(rng, n, m, scale=2.0):
     return rng.uniform(0.0, scale, size=(n, m))
+
+
+def zero_factors(n, m):
+    return np.zeros((n, 1)), np.zeros((1, m))
 
 
 # ---------------------------------------------------------------------------
@@ -104,37 +112,35 @@ def test_nmf_rank1_is_kl_optimal_under_perturbation():
 
 
 def test_factored_update_fresh_state_by_hand():
-    state = FactoredEMA.fresh(2, 2, decay=0.999, epsilon=0.0)
-    state = factored_update(state, np.array([[1.0, 2.0], [3.0, 4.0]]))
-    np.testing.assert_allclose(state.row_acc, np.array([[0.003], [0.007]]), rtol=1e-12)
-    np.testing.assert_allclose(state.col_acc, np.array([[0.004, 0.006]]), rtol=1e-12)
-    assert state.step_count == 1
+    row, col = factored_update(*zero_factors(2, 2), np.array([[1.0, 2.0], [3.0, 4.0]]), 0.999, 0.0)
+    np.testing.assert_allclose(row, np.array([[0.003], [0.007]]), rtol=1e-12)
+    np.testing.assert_allclose(col, np.array([[0.004, 0.006]]), rtol=1e-12)
 
 
 def test_factored_update_epsilon_floor():
-    state = FactoredEMA.fresh(3, 4, decay=0.9999, epsilon=1e-16)
-    state = factored_update(state, np.zeros((3, 4)))
-    np.testing.assert_allclose(state.row_acc, np.full((3, 1), (1 - 0.9999) * 1e-16 * 4), rtol=1e-12)
-    np.testing.assert_allclose(state.col_acc, np.full((1, 4), (1 - 0.9999) * 1e-16 * 3), rtol=1e-12)
-    assert np.all(state.row_acc > 0) and np.all(state.col_acc > 0)
+    row, col = factored_update(*zero_factors(3, 4), np.zeros((3, 4)), 0.9999, 1e-16)
+    np.testing.assert_allclose(row, np.full((3, 1), (1 - 0.9999) * 1e-16 * 4), rtol=1e-12)
+    np.testing.assert_allclose(col, np.full((1, 4), (1 - 0.9999) * 1e-16 * 3), rtol=1e-12)
+    assert np.all(row > 0) and np.all(col > 0)
 
 
 def test_factored_update_twice_geometric():
     rng = np.random.Generator(np.random.PCG64(4))
     x = rand_nonneg(rng, 3, 5)
     beta, eps = 0.9, 1e-8
-    state = FactoredEMA.fresh(3, 5, decay=beta, epsilon=eps)
-    state = factored_update(factored_update(state, x), x)
-    np.testing.assert_allclose(state.row_acc, (1 - beta**2) * row_sums(x + eps), rtol=1e-12)
-    np.testing.assert_allclose(state.col_acc, (1 - beta**2) * col_sums(x + eps), rtol=1e-12)
+    row, col = factored_update(*factored_update(*zero_factors(3, 5), x, beta, eps), x, beta, eps)
+    np.testing.assert_allclose(row, (1 - beta**2) * row_sums(x + eps), rtol=1e-12)
+    np.testing.assert_allclose(col, (1 - beta**2) * col_sums(x + eps), rtol=1e-12)
 
 
 def test_factored_update_validates():
-    state = FactoredEMA.fresh(2, 2, decay=0.9, epsilon=0.0)
+    factors = zero_factors(2, 2)
     with pytest.raises(ValueError, match="shape mismatch"):
-        factored_update(state, np.zeros((2, 3)))
+        factored_update(*factors, np.zeros((2, 3)), 0.9, 0.0)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        factored_update(np.zeros((2, 2)), np.zeros((1, 2)), np.zeros((2, 2)), 0.9, 0.0)
     with pytest.raises(ValueError, match="nonnegative"):
-        factored_update(state, np.array([[1.0, -1.0], [0.0, 0.0]]))
+        factored_update(*factors, np.array([[1.0, -1.0], [0.0, 0.0]]), 0.9, 0.0)
 
 
 # each nonnegativity check must reject exactly the inputs np.any(x < 0.0) flags
@@ -142,7 +148,7 @@ def check_inputs():
     """3 x 4 positive matrices with special entries planted, plus edge cases."""
     base = np.random.Generator(np.random.PCG64(21)).uniform(0.5, 2.0, size=(3, 4))
     cases = {}
-    for value in (0.0, -0.0, -1e-300, 1e-300, -np.inf, np.inf, np.nan):
+    for value in (0.0, -0.0, -1e-300, 1e-300, -5e-324, 5e-324, -np.inf, np.inf, np.nan):
         x = base.copy()
         x[1, 2] = value
         cases[repr(value)] = x
@@ -179,17 +185,44 @@ def test_nonnegativity_checks_reject_exactly_what_the_mask_rejected(case):
     n, m = x.shape
     with np.errstate(invalid="ignore"):
         got_factored = rejects(
-            factored_update, FactoredEMA.fresh(n, m, 0.9, 0.0), x, match="nonnegative"
+            factored_update, *zero_factors(n, m), x, 0.9, 0.0, match="nonnegative"
         )
-        got_full = rejects(full_update, FullEMA.fresh(n, m, 0.9, 0.0), x, match="nonnegative")
+        got_full = rejects(full_update, np.zeros((n, m)), x, 0.9, 0.0, match="nonnegative")
     assert got_factored == expected
     assert got_full == expected
 
 
+def outcome(check):
+    """None when check() passes, "rejected" for its own error, else the error text."""
+    try:
+        check()
+    except ValueError as exc:
+        return "rejected" if "entries" in str(exc) else str(exc)
+    return None
+
+
+@pytest.mark.parametrize("case", sorted(CHECK_INPUTS))
+def test_step_checks_reject_exactly_what_min_and_max_rejected(case):
+    # the step's positivity and finiteness checks reduce with np.minimum/np.maximum
+    # directly; they must agree with x.min() > 0 and isfinite(x.max()), which
+    # propagate NaN and raise on an empty x
+    x = CHECK_INPUTS[case]
+
+    def old_positive():
+        if not x.min() > 0.0:
+            raise ValueError("nonpositive entries")
+
+    def old_finite():
+        if not math.isfinite(x.max()):
+            raise ValueError("non-finite entries")
+
+    assert outcome(lambda: _require_positive(x, "d")) == outcome(old_positive)
+    assert outcome(lambda: _require_finite(x)) == outcome(old_finite)
+
+
 def test_reconstruct_scalar_equals_col_acc():
-    state = FactoredEMA.fresh(1, 1, decay=0.99, epsilon=1e-12)
-    state = factored_update(state, np.array([[2.0]]))
-    np.testing.assert_array_equal(factored_reconstruct(state), state.col_acc)
+    row, col = factored_update(*zero_factors(1, 1), np.array([[2.0]]), 0.99, 1e-12)
+    np.testing.assert_array_equal(factored_reconstruct(row, col), col)
 
 
 def test_reconstruct_single_rank1_update_exact():
@@ -198,42 +231,41 @@ def test_reconstruct_single_rank1_update_exact():
     w = rng.uniform(0.2, 1.5, size=(4, 1))
     h = rng.uniform(0.2, 1.5, size=(1, 6))
     x = w @ h
-    state = factored_update(FactoredEMA.fresh(4, 6, decay=0.99, epsilon=0.0), x)
-    np.testing.assert_allclose(factored_reconstruct(state), (1 - 0.99) * x, rtol=1e-13)
+    factors = factored_update(*zero_factors(4, 6), x, 0.99, 0.0)
+    np.testing.assert_allclose(factored_reconstruct(*factors), (1 - 0.99) * x, rtol=1e-13)
 
     # constant matrices stay rank 1 even with the epsilon shift
     const = np.full((3, 2), 0.7)
     eps = 1e-3
-    state2 = factored_update(FactoredEMA.fresh(3, 2, decay=0.9, epsilon=eps), const)
-    np.testing.assert_allclose(factored_reconstruct(state2), 0.1 * (const + eps), rtol=1e-13)
+    factors = factored_update(*zero_factors(3, 2), const, 0.9, eps)
+    np.testing.assert_allclose(factored_reconstruct(*factors), 0.1 * (const + eps), rtol=1e-13)
 
 
 def test_reconstruct_hand_case():
-    state = FactoredEMA(
-        row_acc=np.array([[3.0], [7.0]]),
-        col_acc=np.array([[4.0, 6.0]]),
-        decay=0.9,
-        epsilon=0.0,
-        step_count=1,
-    )
     np.testing.assert_allclose(
-        factored_reconstruct(state), np.array([[1.2, 1.8], [2.8, 4.2]]), rtol=1e-14
+        factored_reconstruct(np.array([[3.0], [7.0]]), np.array([[4.0, 6.0]])),
+        np.array([[1.2, 1.8], [2.8, 4.2]]),
+        rtol=1e-14,
     )
 
 
 def test_reconstruct_refuses_unupdated_state():
-    with pytest.raises(ValueError, match="no updates"):
-        factored_reconstruct(FactoredEMA.fresh(2, 2, decay=0.9, epsilon=1e-8))
-    with pytest.raises(ValueError, match="no updates"):
-        full_reconstruct(FullEMA.fresh(2, 1, decay=0.9, epsilon=1e-8))
+    # zero factors, as make_state allocates them, fail the positivity check
+    with pytest.raises(ValueError, match="strictly positive"):
+        factored_reconstruct(*zero_factors(2, 2))
 
 
 def test_smoothing_parameter_validation():
+    # decay and epsilon come from the config, which make_state validates
     for decay in (0.0, 1.0, -0.1, 1.5):
-        with pytest.raises(ValueError):
-            FactoredEMA.fresh(2, 2, decay=decay, epsilon=0.0)
-    with pytest.raises(ValueError):
-        FullEMA.fresh(2, 1, decay=0.9, epsilon=-1e-3)
+        for field in ("beta2", "beta3"):
+            with pytest.raises(InvalidConfig) as err:
+                make_state("came", (2, 2), OptimizerConfig(**{field: decay}))
+            assert err.value.field == field
+    for field in ("eps1", "eps2"):
+        with pytest.raises(InvalidConfig) as err:
+            make_state("came", (2,), OptimizerConfig(**{field: -1e-3}))
+        assert err.value.field == field
 
 
 # ---------------------------------------------------------------------------
@@ -242,31 +274,29 @@ def test_smoothing_parameter_validation():
 
 
 def test_full_update_by_hand():
-    state = FullEMA.fresh(2, 1, decay=0.9, epsilon=0.0)
-    state = full_update(state, np.array([[1.0], [4.0]]))
-    np.testing.assert_allclose(state.acc, np.array([[0.1], [0.4]]), rtol=1e-14)
+    acc = full_update(np.zeros((2, 1)), np.array([[1.0], [4.0]]), 0.9, 0.0)
+    np.testing.assert_allclose(acc, np.array([[0.1], [0.4]]), rtol=1e-14)
 
 
 def test_full_epsilon_floor():
-    state = full_update(FullEMA.fresh(3, 1, decay=0.9, epsilon=1e-16), np.zeros((3, 1)))
-    assert np.all(state.acc > 0)
+    assert np.all(full_update(np.zeros((3, 1)), np.zeros((3, 1)), 0.9, 1e-16) > 0)
 
 
 def test_full_update_shape_mismatch():
     with pytest.raises(ValueError, match="shape mismatch"):
-        full_update(FullEMA.fresh(2, 1, decay=0.9, epsilon=0.0), np.zeros((3, 1)))
+        full_update(np.zeros((2, 1)), np.zeros((3, 1)), 0.9, 0.0)
 
 
 def test_full_matches_factored_on_scalars():
     rng = np.random.Generator(np.random.PCG64(6))
-    fact = FactoredEMA.fresh(1, 1, decay=0.99, epsilon=1e-10)
-    full = FullEMA.fresh(1, 1, decay=0.99, epsilon=1e-10)
+    factors = zero_factors(1, 1)
+    full = np.zeros((1, 1))
     for _ in range(50):
         x = np.array([[float(rng.uniform(0, 3))]])
-        fact = factored_update(fact, x)
-        full = full_update(full, x)
-        assert abs(fact.col_acc[0, 0] - full.acc[0, 0]) <= 1e-15
-        assert abs(factored_reconstruct(fact)[0, 0] - full_reconstruct(full)[0, 0]) <= 1e-15
+        factors = factored_update(*factors, x, 0.99, 1e-10)
+        full = full_update(full, x, 0.99, 1e-10)
+        assert abs(factors[1][0, 0] - full[0, 0]) <= 1e-15
+        assert abs(factored_reconstruct(*factors)[0, 0] - full[0, 0]) <= 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -288,32 +318,33 @@ def test_row_and_col_sum_preservation_random():
 
 
 def test_accumulator_totals_agree():
-    # sum(row_acc) == sum(col_acc) at every point of any update sequence
+    # sum(row) == sum(col) at every point of any update sequence
     rng = np.random.Generator(np.random.PCG64(8))
-    state = FactoredEMA.fresh(5, 7, decay=0.95, epsilon=1e-10)
+    row, col = zero_factors(5, 7)
     for _ in range(30):
-        state = factored_update(state, rand_nonneg(rng, 5, 7))
-        assert state.row_acc.sum() == pytest.approx(state.col_acc.sum(), rel=1e-12)
-        assert np.all(state.row_acc >= 0) and np.all(state.col_acc >= 0)
+        row, col = factored_update(row, col, rand_nonneg(rng, 5, 7), 0.95, 1e-10)
+        assert row.sum() == pytest.approx(col.sum(), rel=1e-12)
+        assert np.all(row >= 0) and np.all(col >= 0)
 
 
 def test_reconstruction_consistency():
     rng = np.random.Generator(np.random.PCG64(9))
-    state = FactoredEMA.fresh(6, 4, decay=0.9, epsilon=1e-12)
+    row, col = zero_factors(6, 4)
     for _ in range(10):
-        state = factored_update(state, rand_nonneg(rng, 6, 4))
-    approx = factored_reconstruct(state)
+        row, col = factored_update(row, col, rand_nonneg(rng, 6, 4), 0.9, 1e-12)
+    approx = factored_reconstruct(row, col)
     assert np.all(approx > 0)
-    np.testing.assert_allclose(row_sums(approx), state.row_acc, rtol=1e-12)
-    np.testing.assert_allclose(col_sums(approx), state.col_acc, rtol=1e-12)
+    np.testing.assert_allclose(row_sums(approx), row, rtol=1e-12)
+    np.testing.assert_allclose(col_sums(approx), col, rtol=1e-12)
 
 
 def test_update_is_functional_and_input_untouched():
-    state = FactoredEMA.fresh(2, 2, decay=0.9, epsilon=0.0)
+    row, col = zero_factors(2, 2)
+    full = np.zeros((2, 2))
     x = np.array([[1.0, 2.0], [3.0, 4.0]])
     snapshot = x.copy()
-    new_state = factored_update(state, x)
-    assert new_state is not state
-    assert state.step_count == 0 and new_state.step_count == 1
+    new_row, new_col = factored_update(row, col, x, 0.9, 0.0)
+    new_full = full_update(full, x, 0.9, 0.0)
+    assert new_row is not row and new_col is not col and new_full is not full
     np.testing.assert_array_equal(x, snapshot)
-    assert np.all(state.row_acc == 0.0)
+    assert np.all(row == 0.0) and np.all(col == 0.0) and np.all(full == 0.0)

@@ -4,15 +4,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from came_opt.factored_moment import FactoredEMA, FullEMA, factored_reconstruct
-from came_opt.memory_model import state_elements
+from came_opt.factored_moment import factored_reconstruct
+from came_opt.memory_model import MEMORY_OPTIMIZERS, state_elements
 from came_opt.optimizers import (
     VARIANTS,
     InvalidConfig,
     OptimizerConfig,
     clip_by_rms,
     make_state,
-    state_element_count,
+    state_shapes,
     step_param,
     warmup_lr,
 )
@@ -207,8 +207,8 @@ def test_came_and_adafactor_share_pipeline_bitwise():
         theta_a = step_param(theta_a, g, state_a, cfg)
         theta_c = step_param(theta_c, g, state_c, cfg)
         assert np.array_equal(state_a.m, state_c.m)
-        assert np.array_equal(state_a.second_moment.row_acc, state_c.second_moment.row_acc)
-        assert np.array_equal(state_a.second_moment.col_acc, state_c.second_moment.col_acc)
+        assert np.array_equal(state_a.v_row, state_c.v_row)
+        assert np.array_equal(state_a.v_col, state_c.v_col)
     assert not np.array_equal(theta_a, theta_c)
 
 
@@ -218,7 +218,8 @@ def test_came_residual_uses_updated_momentum_by_default():
     state = make_state("came", (1, 1), cfg)
     step_param(scalar_theta(1.0), scalar_theta(2.0), state, cfg)
     expected = (1.0 - cfg.beta3) * ((0.9 * 1.0) ** 2 + cfg.eps2)
-    assert factored_reconstruct(state.instability)[0, 0] == pytest.approx(expected, rel=1e-12)
+    s = factored_reconstruct(state.s_row, state.s_col)
+    assert s[0, 0] == pytest.approx(expected, rel=1e-12)
 
 
 def test_came_residual_vs_prev_flag():
@@ -227,7 +228,8 @@ def test_came_residual_vs_prev_flag():
     state = make_state("came", (1, 1), cfg)
     step_param(scalar_theta(1.0), scalar_theta(2.0), state, cfg)
     expected = (1.0 - cfg.beta3) * (1.0**2 + cfg.eps2)
-    assert factored_reconstruct(state.instability)[0, 0] == pytest.approx(expected, rel=1e-12)
+    s = factored_reconstruct(state.s_row, state.s_col)
+    assert s[0, 0] == pytest.approx(expected, rel=1e-12)
 
 
 def test_came_sign_property_on_scalars():
@@ -276,16 +278,11 @@ def test_accumulators_stay_positive_with_sparse_gradients():
             if i % 7 == 0:
                 g = np.zeros(shape)
             theta = step_param(theta, g, state, cfg)
-            v = (
-                factored_reconstruct(state.second_moment)
-                if isinstance(state.second_moment, FactoredEMA)
-                else state.second_moment.acc
-            )
-            s = (
-                factored_reconstruct(state.instability)
-                if isinstance(state.instability, FactoredEMA)
-                else state.instability.acc
-            )
+            if len(dims) == 2:
+                v = factored_reconstruct(state.v_row, state.v_col)
+                s = factored_reconstruct(state.s_row, state.s_col)
+            else:
+                v, s = state.v, state.s
             assert np.all(v > 0.0) and np.all(s > 0.0)
             assert np.all(np.isfinite(theta))
 
@@ -329,16 +326,30 @@ def test_factored_adafactor_matches_scalar_reference():
 # ---------------------------------------------------------------------------
 
 
+def held_shapes(state):
+    """Field -> shape of every array the state holds."""
+    return {
+        name: value.shape for name, value in vars(state).items() if isinstance(value, np.ndarray)
+    }
+
+
 def test_make_state_accumulator_kinds():
     cfg = OptimizerConfig()
     two_d = make_state("came", (3, 4), cfg)
-    assert isinstance(two_d.second_moment, FactoredEMA)
-    assert isinstance(two_d.instability, FactoredEMA)
+    assert held_shapes(two_d) == {
+        "m": (3, 4), "v_row": (3, 1), "v_col": (1, 4), "s_row": (3, 1), "s_col": (1, 4)
+    }
     one_d = make_state("came", (5,), cfg)
-    assert isinstance(one_d.second_moment, FullEMA)
-    assert isinstance(one_d.instability, FullEMA)
-    adam = make_state("adam", (3, 4), cfg)
-    assert adam.second_moment is None and adam.adam_v is not None
+    assert held_shapes(one_d) == {"m": (5, 1), "v": (5, 1), "s": (5, 1)}
+    assert held_shapes(make_state("adafactor", (3, 4), cfg)) == {
+        "m": (3, 4), "v_row": (3, 1), "v_col": (1, 4)
+    }
+    assert held_shapes(make_state("adam", (3, 4), cfg)) == {"m": (3, 4), "v": (3, 4)}
+    for variant in VARIANTS:
+        for dims in ((3, 4), (5,)):
+            state = make_state(variant, dims, cfg)
+            assert held_shapes(state) == state_shapes(variant, dims)
+            assert all(np.all(getattr(state, name) == 0.0) for name in held_shapes(state))
 
 
 def test_make_state_rejects_bad_inputs():
@@ -349,6 +360,9 @@ def test_make_state_rejects_bad_inputs():
         make_state("came", (2, 2, 2), cfg)
     with pytest.raises(ValueError):
         make_state("came", (0,), cfg)
+    with pytest.raises(InvalidConfig) as err:
+        make_state("adam", (2, 2), OptimizerConfig(beta1=1.0))
+    assert err.value.field == "beta1"
 
 
 def test_step_shape_and_variant_validation():
@@ -366,18 +380,18 @@ def test_failed_step_leaves_state_untouched():
     with pytest.raises(ValueError):
         step_param(np.ones((2, 2)), np.zeros((2, 2)), state, cfg)
     assert state.t == 0
-    assert state.second_moment.step_count == 0
+    assert np.all(state.v_row == 0.0) and np.all(state.v_col == 0.0)
     assert np.all(state.m == 0.0)
 
     theta = step_param(np.ones((2, 2)), np.ones((2, 2)), state, cfg)
     t_before = state.t
     m_before = state.m.copy()
-    sm_before = state.second_moment
+    sm_before = (state.v_row, state.v_col)
     # shape error on a live state is caught before any work
     with pytest.raises(ValueError):
         step_param(theta, np.zeros((3, 3)), state, cfg)
     assert state.t == t_before
-    assert state.second_moment is sm_before
+    assert state.v_row is sm_before[0] and state.v_col is sm_before[1]
     np.testing.assert_array_equal(state.m, m_before)
 
 
@@ -414,10 +428,15 @@ def test_deterministic_trajectories():
 
 
 @pytest.mark.parametrize("dims", [(8, 16), (7,), (1, 1), (5, 1)])
-@pytest.mark.parametrize("variant", ["adafactor", "came", "adam"])
+@pytest.mark.parametrize("variant", VARIANTS)
 def test_state_element_count_matches_memory_model(variant, dims):
+    # the bytes make_state allocates against the state_shapes count, and for the
+    # variants memory_model covers, against its count
     state = make_state(variant, dims, OptimizerConfig())
-    assert state_element_count(state) == state_elements(variant, dims)
+    allocated = sum(a.nbytes for a in vars(state).values() if isinstance(a, np.ndarray))
+    assert allocated == 8 * sum(math.prod(shape) for shape in state_shapes(variant, dims).values())
+    if variant in MEMORY_OPTIMIZERS:
+        assert allocated == 8 * state_elements(variant, dims)
 
 
 # Peak of one warm step, in n x m float64 arrays, per variant: (256 x 256 matrix,
@@ -461,16 +480,8 @@ def test_step_transient_memory(variant, dims):
 
 
 def state_arrays(state):
-    """Every array the state holds: momentum, adam_v, and accumulator arrays."""
-    arrays = [state.m]
-    if state.adam_v is not None:
-        arrays.append(state.adam_v)
-    for acc in (state.second_moment, state.instability):
-        if isinstance(acc, FactoredEMA):
-            arrays += [acc.row_acc, acc.col_acc]
-        elif isinstance(acc, FullEMA):
-            arrays.append(acc.acc)
-    return arrays
+    """Every array the state holds: momentum, second moment, instability."""
+    return [getattr(state, name) for name in state_shapes(state.variant, state.dims)]
 
 
 def warm_state(variant, dims, cfg, seed, steps=3):
@@ -493,11 +504,9 @@ def test_non_finite_gradient_rejected_before_any_state_change(variant, dims, bad
     t_before = state.t
     held = state_arrays(state)
     snapshots = [a.copy() for a in held]
-    accumulators = (state.second_moment, state.instability)
     with pytest.raises(ValueError, match="non-finite"):
         step_param(theta, g, state, cfg)
     assert state.t == t_before
-    assert state.second_moment is accumulators[0] and state.instability is accumulators[1]
     for now, before in zip(state_arrays(state), snapshots):
         assert np.array_equal(now, before)
     assert all(now is was for now, was in zip(state_arrays(state), held))

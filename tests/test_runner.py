@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from came_opt.memory_model import state_elements
+from came_opt.memory_model import MEMORY_OPTIMIZERS, state_elements
 from came_opt import runner as runner_module
 from came_opt.optimizers import VARIANTS, InvalidConfig, OptimizerConfig, make_state, step_param
 from came_opt.problems import build_problem, initial_params
@@ -140,10 +140,16 @@ def test_huge_threshold_met_after_first_step():
 
 
 def test_state_elements_match_memory_model():
-    result = run(RunConfig(problem="mlp1", optimizer="came", steps=1, seed=0))
-    problem = build_problem("mlp1")
-    expected = sum(state_elements("came", dims) for _, dims in problem.param_specs)
-    assert result.state_elements == expected
+    specs = build_problem("mlp1").param_specs
+    for variant in VARIANTS:
+        result = run(RunConfig(problem="mlp1", optimizer=variant, steps=1, seed=0))
+        allocated = 0
+        for _, dims in specs:
+            state = make_state(variant, dims, OptimizerConfig())
+            allocated += sum(a.nbytes for a in vars(state).values() if isinstance(a, np.ndarray))
+        assert 8 * result.state_elements == allocated
+        if variant in MEMORY_OPTIMIZERS:
+            assert result.state_elements == sum(state_elements(variant, dims) for _, dims in specs)
 
 
 def test_best_loss_not_above_final():
@@ -240,6 +246,12 @@ def test_compare_requires_configs_and_seeds():
         compare([], seeds=[1])
     with pytest.raises(ValueError):
         compare([quad_config()], seeds=[])
+
+
+def test_compare_rejects_duplicate_seeds():
+    # a repeated seed would count twice in the wins and curves but once in the medians
+    with pytest.raises(ValueError, match="distinct"):
+        compare([quad_config(optimizer="came"), quad_config()], seeds=[1, 1, 2])
 
 
 def test_compare_threshold_median():
