@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from .memory_model import (
     _BUNDLED,
@@ -75,6 +75,8 @@ def _parse_problem_spec(text: str):
                 )
             key = key.strip()
             value = value.strip()
+            if key in args:
+                raise InvalidConfig("problem", f"problem argument {key!r} given twice")
             try:
                 args[key] = int(value)
             except ValueError:
@@ -129,19 +131,6 @@ _OPTIONS: Dict[str, tuple] = {
 _HYPER = ("lr", "beta1", "beta2", "beta3", "eps1", "eps2", "eps3", "clip_d", "warmup")
 _HYPER_FIELD = {"warmup": "warmup_steps"}
 
-# The options each subcommand takes, in help order, and its own defaults.
-_COMMAND_OPTS: Dict[str, tuple] = {
-    "run": ("problem", "optimizer", "steps", "seed", "threshold", "out", *_HYPER,
-            "strict_determinism"),
-    "compare": ("problem", "optimizer", "steps", "seeds", "threshold", "out", *_HYPER),
-    "grad-check": ("problem", "points", "tolerance", "seed"),
-    "memory": ("manifest", "baseline", "scale", "width", "out"),
-}
-_COMMAND_DEFAULTS: Dict[str, Dict[str, object]] = {
-    "compare": {"optimizer": "came,adafactor"},
-    "grad-check": {"seed": 2024},
-}
-
 
 def _load_config_file(path: str, allowed: Sequence[str]) -> Dict[str, object]:
     values: Dict[str, object] = {}
@@ -167,11 +156,11 @@ def _load_config_file(path: str, allowed: Sequence[str]) -> Dict[str, object]:
     return values
 
 
-def _resolve(args: argparse.Namespace, command: str) -> Dict[str, object]:
-    names = _COMMAND_OPTS[command]
+def _resolve(args: argparse.Namespace) -> Dict[str, object]:
+    _, _, _, names, defaults = _COMMANDS[args.command]
     merged = {name: _OPTIONS[name][2] for name in names}
-    merged.update(_COMMAND_DEFAULTS.get(command, {}))
-    if getattr(args, "config", None):
+    merged.update(defaults)
+    if args.config:
         merged.update(_load_config_file(args.config, names))
     for name in names:
         flag_value = getattr(args, name, None)
@@ -181,8 +170,7 @@ def _resolve(args: argparse.Namespace, command: str) -> Dict[str, object]:
 
 
 def _optimizer_config(opts: Dict[str, object]) -> OptimizerConfig:
-    fields = {_HYPER_FIELD.get(name, name): opts[name] for name in _HYPER}
-    return OptimizerConfig(**fields).validate()
+    return OptimizerConfig(**{_HYPER_FIELD.get(name, name): opts[name] for name in _HYPER})
 
 
 def _require(opts: Dict[str, object], name: str) -> object:
@@ -191,8 +179,7 @@ def _require(opts: Dict[str, object], name: str) -> object:
     return opts[name]
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
-    opts = _resolve(args, "run")
+def _cmd_run(opts: Dict[str, object]) -> int:
     problem_name, problem_args = _parse_problem_spec(_require(opts, "problem"))
     config = RunConfig(
         problem=problem_name,
@@ -218,17 +205,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_compare(args: argparse.Namespace) -> int:
-    opts = _resolve(args, "compare")
+def _cmd_compare(opts: Dict[str, object]) -> int:
     problem_name, problem_args = _parse_problem_spec(_require(opts, "problem"))
     optimizers = [o.strip() for o in str(opts["optimizer"]).split(",") if o.strip()]
-    if not optimizers:
-        raise InvalidConfig("optimizer", "expected a comma-separated optimizer list")
     seeds = _parse_seeds(str(opts["seeds"]))
-    if not seeds:
-        raise InvalidConfig("seeds", "expected at least one seed")
-    if len(set(seeds)) != len(seeds):
-        raise InvalidConfig("seeds", f"expected distinct seeds, got {opts['seeds']!r}")
     opt_cfg = _optimizer_config(opts)
     configs = [
         RunConfig(
@@ -250,8 +230,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_grad_check(args: argparse.Namespace) -> int:
-    opts = _resolve(args, "grad-check")
+def _cmd_grad_check(opts: Dict[str, object]) -> int:
     problem_name, problem_args = _parse_problem_spec(_require(opts, "problem"))
     problem = build_problem(problem_name, problem_args)
     rep = gradient_report(
@@ -268,8 +247,7 @@ def _cmd_grad_check(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_memory(args: argparse.Namespace) -> int:
-    opts = _resolve(args, "memory")
+def _cmd_memory(opts: Dict[str, object]) -> int:
     name, baseline = str(opts["manifest"]), str(opts["baseline"])
     width, scale = int(opts["width"]), int(opts["scale"])
     for field, value in (("width", width), ("scale", scale)):
@@ -298,16 +276,39 @@ def _emit_error(message: str, field: Optional[str] = None, **extra) -> None:
     print(json.dumps({"error": payload}, sort_keys=True), file=sys.stderr)
 
 
-def _add_flags(parser: argparse.ArgumentParser, command: str) -> None:
-    for name in _COMMAND_OPTS[command]:
-        flag, parse, _, help_text = _OPTIONS[name]
-        if parse is _parse_bool:
-            parser.add_argument(
-                flag, dest=name, action="store_const", const=True, default=None, help=help_text
-            )
-        else:
-            parser.add_argument(flag, dest=name, type=parse, default=None, help=help_text)
-    parser.add_argument("--config", type=str, default=None, help=CONFIG_HELP)
+# Each subcommand: (handler, help, epilog, its options in help order, its own
+# defaults). The option names are also its config-file keys.
+_COMMANDS: Dict[str, tuple] = {
+    "run": (
+        _cmd_run,
+        "train one problem with one optimizer, writing a trace CSV and summary JSON",
+        f"problems: {', '.join(sorted(PROBLEM_BUILDERS))}. {CONFIG_HELP}",
+        ("problem", "optimizer", "steps", "seed", "threshold", "out", *_HYPER,
+         "strict_determinism"),
+        {},
+    ),
+    "compare": (
+        _cmd_compare,
+        "run several optimizers over the same problem and seeds",
+        "set CAME_OPT_THREADS>1 to run (optimizer, seed) pairs in parallel. " + CONFIG_HELP,
+        ("problem", "optimizer", "steps", "seeds", "threshold", "out", *_HYPER),
+        {"optimizer": "came,adafactor"},
+    ),
+    "grad-check": (
+        _cmd_grad_check,
+        "compare analytic gradients against central finite differences",
+        None,
+        ("problem", "points", "tolerance", "seed"),
+        {"seed": 2024},
+    ),
+    "memory": (
+        _cmd_memory,
+        "render the optimizer-state memory report for a shape manifest",
+        None,
+        ("manifest", "baseline", "scale", "width", "out"),
+        {},
+    ),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -317,46 +318,24 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_run = sub.add_parser(
-        "run",
-        help="train one problem with one optimizer, writing a trace CSV and summary JSON",
-        epilog=f"problems: {', '.join(sorted(PROBLEM_BUILDERS))}. {CONFIG_HELP}",
-    )
-    _add_flags(p_run, "run")
-    p_run.set_defaults(func=_cmd_run)
-
-    p_cmp = sub.add_parser(
-        "compare",
-        help="run several optimizers over the same problem and seeds",
-        epilog="set CAME_OPT_THREADS>1 to run (optimizer, seed) pairs in parallel. "
-        + CONFIG_HELP,
-    )
-    _add_flags(p_cmp, "compare")
-    p_cmp.set_defaults(func=_cmd_compare)
-
-    p_grad = sub.add_parser(
-        "grad-check",
-        help="compare analytic gradients against central finite differences",
-    )
-    _add_flags(p_grad, "grad-check")
-    p_grad.set_defaults(func=_cmd_grad_check)
-
-    p_mem = sub.add_parser(
-        "memory",
-        help="render the optimizer-state memory report for a shape manifest",
-    )
-    _add_flags(p_mem, "memory")
-    p_mem.set_defaults(func=_cmd_memory)
+    for command, (_, help_text, epilog, names, _) in _COMMANDS.items():
+        p_cmd = sub.add_parser(command, help=help_text, epilog=epilog)
+        for name in names:
+            flag, parse, _, option_help = _OPTIONS[name]
+            if parse is _parse_bool:
+                kind = dict(action="store_const", const=True)
+            else:
+                kind = dict(type=parse)
+            p_cmd.add_argument(flag, dest=name, default=None, help=option_help, **kind)
+        p_cmd.add_argument("--config", type=str, default=None, help=CONFIG_HELP)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handler: Callable[[argparse.Namespace], int] = args.func
+    args = build_parser().parse_args(argv)
+    handler = _COMMANDS[args.command][0]
     try:
-        return handler(args)
+        return handler(_resolve(args))
     except InvalidConfig as exc:
         _emit_error(str(exc), field=exc.field)
         return 1

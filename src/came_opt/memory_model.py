@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from importlib import resources
 from typing import Dict, Tuple
 
@@ -78,19 +78,8 @@ class MemoryReport:
     ratios: Dict[str, float]  # vs baseline, in element counts
     breakdown: Dict[str, Dict[str, int]]  # optimizer -> entry name -> elements
 
-    def to_dict(self) -> dict:
-        return {
-            "baseline": self.baseline,
-            "element_width_bytes": self.element_width_bytes,
-            "total_parameters": self.total_parameters,
-            "totals": dict(self.totals),
-            "total_bytes": dict(self.total_bytes),
-            "ratios": dict(self.ratios),
-            "breakdown": {k: dict(v) for k, v in self.breakdown.items()},
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
 def report(manifest: ShapeManifest, baseline: str = "adam") -> MemoryReport:

@@ -47,15 +47,19 @@ class InvalidConfig(ValueError):
         self.field = field_name
 
 
-@dataclass
+@dataclass(frozen=True)
 class OptimizerConfig:
-    """Scalar hyperparameters shared by all variants.
+    """Scalar hyperparameters shared by all variants, checked when built.
 
     beta3 and eps2 only matter for came; eps3 only for raw_confidence;
     adam_eps only for adam. came_residual_vs_prev switches the instability
     residual to (u_hat - m_prev)^2, i.e. against the momentum before it
     absorbs the current update; the default squares the residual against
     the already-updated momentum.
+
+    Building one, also through `dataclasses.replace`, raises InvalidConfig
+    naming the first out-of-range or non-finite field; clip_d = inf is
+    allowed and means never clip.
     """
 
     lr: float = 1e-3
@@ -70,24 +74,23 @@ class OptimizerConfig:
     adam_eps: float = 1e-8
     came_residual_vs_prev: bool = False
 
-    def validate(self) -> "OptimizerConfig":
-        if not self.lr > 0.0:
-            raise InvalidConfig("lr", f"must be positive, got {self.lr}")
+    def __post_init__(self) -> None:
+        # every comparison is False for NaN, so each check also rejects it
+        if not 0.0 < self.lr < math.inf:
+            raise InvalidConfig("lr", f"must be positive and finite, got {self.lr}")
         for name in ("beta1", "beta2", "beta3"):
             value = getattr(self, name)
             if not 0.0 < value < 1.0:
                 raise InvalidConfig(name, f"must be in (0, 1), got {value}")
         for name in ("eps1", "eps2", "eps3", "adam_eps"):
             value = getattr(self, name)
-            if value < 0.0:
-                raise InvalidConfig(name, f"must be nonnegative, got {value}")
+            if not 0.0 <= value < math.inf:
+                raise InvalidConfig(name, f"must be nonnegative and finite, got {value}")
         if not self.clip_d > 0.0:
             raise InvalidConfig("clip_d", f"must be positive, got {self.clip_d}")
-        if self.warmup_steps < 0 or self.warmup_steps != int(self.warmup_steps):
-            raise InvalidConfig(
-                "warmup_steps", f"must be a nonnegative integer, got {self.warmup_steps}"
-            )
-        return self
+        warmup = self.warmup_steps
+        if not (0 <= warmup < math.inf and warmup == int(warmup)):
+            raise InvalidConfig("warmup_steps", f"must be a nonnegative integer, got {warmup}")
 
 
 def state_shapes(variant: str, dims: Tuple[int, ...]) -> Dict[str, Tuple[int, int]]:
@@ -142,10 +145,8 @@ class OptimizerState:
 def make_state(variant: str, dims: Tuple[int, ...], cfg: OptimizerConfig) -> OptimizerState:
     """Zero-initialized state for one parameter of the given logical dims.
 
-    Raises InvalidConfig naming the field when cfg holds an out-of-range
-    decay, a negative epsilon or any other invalid hyperparameter.
+    The state does not depend on cfg, which checked itself when it was built.
     """
-    cfg.validate()
     dims = tuple(int(d) for d in dims)
     arrays = {name: np.zeros(shape) for name, shape in state_shapes(variant, dims).items()}
     return OptimizerState(variant=variant, dims=dims, **arrays)

@@ -44,15 +44,15 @@ class RunConfig:
     opt: OptimizerConfig = field(default_factory=OptimizerConfig)
     threshold: Optional[float] = None
 
-    def validate(self) -> "RunConfig":
-        if self.steps < 1:
+    def __post_init__(self) -> None:
+        if not self.steps >= 1:
             raise InvalidConfig("steps", f"must be >= 1, got {self.steps}")
         if self.optimizer not in VARIANTS:
             raise InvalidConfig(
                 "optimizer", f"unknown optimizer {self.optimizer!r}, expected one of {VARIANTS}"
             )
-        self.opt.validate()
-        return self
+        if self.threshold is not None and math.isnan(self.threshold):
+            raise InvalidConfig("threshold", "must be a number, got nan")
 
 
 @dataclass(frozen=True)
@@ -98,7 +98,6 @@ class RunResult:
 
 def run(config: RunConfig) -> RunResult:
     """Train one problem with one optimizer; everything stays in memory."""
-    config.validate()
     problem = build_problem(config.problem, config.problem_args)
     params = initial_params(problem, config.seed)
     states = {
@@ -294,22 +293,22 @@ def compare(configs: Sequence[RunConfig], seeds: Sequence[int]) -> CompareResult
 
     All configs must share the problem, its arguments, and the step count.
     Runs are independent; CAME_OPT_THREADS > 1 executes them in worker
-    processes, with results ordered deterministically either way.
+    processes, with results ordered deterministically either way. No configs
+    raise InvalidConfig("optimizer"); no seeds or a repeated seed raise
+    InvalidConfig("seeds").
     """
     if not configs:
-        raise ValueError("compare needs at least one config")
+        raise InvalidConfig("optimizer", "expected at least one optimizer config")
     if not seeds:
-        raise ValueError("compare needs at least one seed")
+        raise InvalidConfig("seeds", "expected at least one seed")
     if len({int(s) for s in seeds}) != len(seeds):
-        raise ValueError(f"compare seeds must be distinct, got {list(seeds)}")
+        raise InvalidConfig("seeds", f"expected distinct seeds, got {list(seeds)}")
     first = configs[0]
     for cfg in configs[1:]:
         if cfg.problem != first.problem or cfg.problem_args != first.problem_args:
             raise ValueError("compare configs must share the same problem")
         if cfg.steps != first.steps:
             raise ValueError("compare configs must share the same step count")
-    for cfg in configs:
-        cfg.validate()
 
     labels: List[str] = []
     seen: Dict[str, int] = {}

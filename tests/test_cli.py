@@ -1,5 +1,8 @@
 import dataclasses
 import json
+import os
+
+import pytest
 
 from came_opt.cli import _HYPER, _HYPER_FIELD, _optimizer_config, main
 from came_opt.optimizers import OptimizerConfig
@@ -85,6 +88,23 @@ def test_invalid_hyperparameter_names_field(tmp_path, capsys):
     assert read_error(err)["field"] == "lr"
 
 
+@pytest.mark.parametrize(
+    "flag,value",
+    [("--lr", "inf"), ("--eps1", "inf"), ("--eps1", "nan"), ("--eps2", "nan"),
+     ("--threshold", "nan")],
+)
+def test_non_finite_option_names_field_before_running(tmp_path, capsys, flag, value):
+    out = str(tmp_path / "x")
+    code, _, err = run_cli(
+        capsys,
+        "run", "--problem", "quadratic:dim=4", "--optimizer", "came", "--steps", "3",
+        "--out", out, flag, value,
+    )
+    assert code == 1
+    assert read_error(err)["field"] == flag[2:]
+    assert not os.path.exists(out + "_trace.csv")
+
+
 def test_zero_steps_names_field(tmp_path, capsys):
     code, _, err = run_cli(
         capsys,
@@ -107,6 +127,16 @@ def test_bad_problem_spec_reported(tmp_path, capsys):
     )
     assert code == 1
     assert read_error(err)["field"] == "problem"
+
+
+def test_repeated_problem_argument_reported(tmp_path, capsys):
+    code, _, err = run_cli(
+        capsys,
+        "run", "--problem", "quadratic:dim=4,dim=5", "--out", str(tmp_path / "x"),
+    )
+    assert code == 1
+    payload = read_error(err)
+    assert payload["field"] == "problem" and "'dim'" in payload["message"]
 
 
 def test_config_file_and_flag_precedence(tmp_path, capsys):
@@ -173,6 +203,13 @@ def test_compare_cli_rejects_duplicate_seeds(capsys):
     assert code == 1
     payload = read_error(err)
     assert payload["field"] == "seeds" and "distinct" in payload["message"]
+
+
+@pytest.mark.parametrize("flag,field", [("--seeds", "seeds"), ("--optimizer", "optimizer")])
+def test_compare_cli_empty_list_names_field(capsys, flag, field):
+    code, _, err = run_cli(capsys, "compare", "--problem", "quadratic", flag, ",")
+    assert code == 1
+    assert read_error(err)["field"] == field
 
 
 def test_every_hyperparameter_option_sets_its_config_field():

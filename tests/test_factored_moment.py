@@ -256,7 +256,7 @@ def test_reconstruct_refuses_unupdated_state():
 
 
 def test_smoothing_parameter_validation():
-    # decay and epsilon come from the config, which make_state validates
+    # decay and epsilon come from the config, which checks them when it is built
     for decay in (0.0, 1.0, -0.1, 1.5):
         for field in ("beta2", "beta3"):
             with pytest.raises(InvalidConfig) as err:

@@ -34,7 +34,6 @@ def test_config_defaults():
     assert (cfg.eps1, cfg.eps2) == (1e-30, 1e-16)
     assert cfg.clip_d == 1.0
     assert cfg.warmup_steps == 0
-    cfg.validate()
 
 
 @pytest.mark.parametrize(
@@ -42,21 +41,32 @@ def test_config_defaults():
     [
         ("lr", 0.0),
         ("lr", -1.0),
+        ("lr", math.inf),
+        ("lr", math.nan),
         ("beta1", 1.0),
+        ("beta1", math.nan),
         ("beta2", 0.0),
         ("beta3", 1.2),
         ("eps1", -1e-9),
+        ("eps1", math.inf),
+        ("eps1", math.nan),
         ("eps2", -1.0),
+        ("eps2", math.nan),
         ("eps3", -1.0),
+        ("eps3", math.inf),
         ("clip_d", 0.0),
+        ("clip_d", math.nan),
         ("warmup_steps", -1),
+        ("warmup_steps", 1.5),
+        ("warmup_steps", math.inf),
+        ("warmup_steps", math.nan),
         ("adam_eps", -1e-8),
+        ("adam_eps", math.nan),
     ],
 )
 def test_config_validation_reports_field(field, value):
-    cfg = OptimizerConfig(**{field: value})
     with pytest.raises(InvalidConfig) as err:
-        cfg.validate()
+        OptimizerConfig(**{field: value})
     assert err.value.field == field
 
 
@@ -74,6 +84,12 @@ def test_clip_noop_below_threshold():
 def test_clip_scales_large_update_to_threshold():
     u = np.array([[31.6227766]])
     np.testing.assert_array_equal(clip_by_rms(u, 1.0), np.array([[1.0]]))
+
+
+def test_infinite_clip_d_never_clips():
+    # clip_d = inf is a valid config: clipping is off, and the update passes exactly
+    u = np.array([[5.0, -3.0]])
+    np.testing.assert_array_equal(clip_by_rms(u, OptimizerConfig(clip_d=math.inf).clip_d), u)
 
 
 def test_clip_zero_matrix():

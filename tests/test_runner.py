@@ -52,6 +52,24 @@ def test_run_rejects_unknown_optimizer():
     assert err.value.field == "optimizer"
 
 
+def test_run_config_rejects_nan_threshold():
+    # a NaN threshold compares False with every loss, so it would never be met
+    with pytest.raises(InvalidConfig) as err:
+        quad_config(threshold=math.nan)
+    assert err.value.field == "threshold"
+
+
+def test_configs_are_frozen_and_replace_rechecks():
+    cfg = quad_config()
+    for obj, name in ((cfg, "steps"), (cfg.opt, "lr")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, name, 1)
+    for obj, name, value in ((cfg, "steps", 0), (cfg.opt, "lr", -1.0)):
+        with pytest.raises(InvalidConfig) as err:
+            dataclasses.replace(obj, **{name: value})
+        assert err.value.field == name
+
+
 def test_run_propagates_bad_problem():
     with pytest.raises(ValueError, match="unknown problem"):
         run(quad_config(problem="nope", problem_args={}))
@@ -242,16 +260,19 @@ def test_compare_rejects_mismatched_problems():
 
 
 def test_compare_requires_configs_and_seeds():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidConfig) as err:
         compare([], seeds=[1])
-    with pytest.raises(ValueError):
+    assert err.value.field == "optimizer"
+    with pytest.raises(InvalidConfig) as err:
         compare([quad_config()], seeds=[])
+    assert err.value.field == "seeds"
 
 
 def test_compare_rejects_duplicate_seeds():
     # a repeated seed would count twice in the wins and curves but once in the medians
-    with pytest.raises(ValueError, match="distinct"):
+    with pytest.raises(InvalidConfig, match="distinct") as err:
         compare([quad_config(optimizer="came"), quad_config()], seeds=[1, 1, 2])
+    assert err.value.field == "seeds"
 
 
 def test_compare_threshold_median():
