@@ -4,16 +4,18 @@ The closed-form factorization of a nonnegative matrix V into a column factor
 W = V 1 and a row factor H = 1^T V / 1^T V 1 minimizes the generalized
 Kullback-Leibler divergence to V among all rank-1 nonnegative matrices. An
 optimizer never stores V itself: it keeps exponential moving averages of the
-row-sum and column-sum factors and reconstructs the rank-1 surrogate on
-demand. The same functions serve both the squared-gradient accumulator and
-the instability accumulator, which differ only in decay and epsilon. An
-accumulator is plain arrays: a factored one is an n x 1 row factor and a
-1 x m column factor, an unfactored one is a single array; the update
-functions return new arrays and never write their inputs.
+row-sum and column-sum factors and builds the inverse square root of the
+rank-1 surrogate from them on demand. The same functions serve both the
+squared-gradient accumulator and the instability accumulator, which differ
+only in decay and epsilon. An accumulator is plain arrays: a factored one
+is an n x 1 row factor and a 1 x m column factor, an unfactored one is a
+single array; the update functions return new arrays and never write their
+inputs.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Tuple
 
 import numpy as np
@@ -21,13 +23,22 @@ import numpy as np
 from .tensor import Matrix, col_sums, outer_quotient, row_sums
 
 
+def _require_finite_entries(caller: str, **arrays: Matrix) -> None:
+    # a NaN entry passes every comparison-based domain check, so test it first
+    for name, x in arrays.items():
+        if not np.all(np.isfinite(x)):
+            raise ValueError(f"{caller} requires finite {name}, got NaN or inf entries")
+
+
 def nmf_rank1(v: Matrix) -> tuple:
     """Closed-form rank-1 factorization (W, H) of a nonnegative matrix.
 
     W holds the row sums, H the column sums normalized by the grand total,
     so that W @ H is the rank-1 matrix closest to v in generalized KL
-    divergence. Exact when v itself has rank 1.
+    divergence. Exact when v itself has rank 1. A NaN or infinite entry is
+    rejected.
     """
+    _require_finite_entries("nmf_rank1", v=v)
     if np.any(v < 0.0):
         raise ValueError("nmf_rank1 requires a nonnegative matrix")
     s = float(v.sum())
@@ -41,10 +52,11 @@ def nmf_rank1(v: Matrix) -> tuple:
 def generalized_kl(v: Matrix, a: Matrix) -> float:
     """Generalized KL divergence sum(v log(v/a) - v + a), with 0 log 0 = 0.
 
-    a must be entrywise positive, v entrywise nonnegative.
+    a must be entrywise positive, v entrywise nonnegative, and both finite.
     """
     if v.shape != a.shape:
         raise ValueError(f"shape mismatch: {v.shape} vs {a.shape}")
+    _require_finite_entries("generalized_kl", v=v, a=a)
     if np.any(v < 0.0):
         raise ValueError("generalized_kl requires nonnegative v")
     if np.any(a <= 0.0):
@@ -76,12 +88,37 @@ def factored_update(
 
 
 def factored_reconstruct(row: Matrix, col: Matrix) -> Matrix:
-    """Rank-1 reconstruction row * col / sum(row); a zero factor (no updates yet) is rejected.
+    """Inverse square root of the rank-1 surrogate row * col / sum(row), as an n x m array.
 
-    The reconstruction stage of the step, named apart from `outer_quotient` so
-    that per-layer timings (perfbench's tracer) can attribute it.
+    Entry (i, j) is 1 / sqrt(row_i * col_j / sum(row)), built from the factors
+    as sqrt(sum(row)) / sqrt(row_i) times 1 / sqrt(col_j): n + m square roots
+    and one `outer_quotient`, the only n x m write. The surrogate itself is
+    never formed. A factor with a zero (no updates yet), negative or NaN
+    entry is rejected, and so is an infinite sum or an inverse root that
+    overflows.
     """
-    return outer_quotient(row, col)
+    # np.minimum propagates NaN, so a NaN entry fails the test too
+    row_min = np.minimum.reduce(row, axis=None)
+    col_min = np.minimum.reduce(col, axis=None)
+    if not (row_min > 0.0 and col_min > 0.0):
+        raise ValueError(
+            "factored_reconstruct requires strictly positive factors; "
+            "an accumulator that has seen only zeros needs epsilon > 0"
+        )
+    total_root = math.sqrt(np.add.reduce(row, axis=None))
+    # rounding is monotone, so the smallest factors give the largest entry, in
+    # the same operations; sqrt(sum) / sqrt(row_i) also keeps a subnormal
+    # row_i from overflowing a quotient before its root is taken
+    if not total_root / math.sqrt(row_min) * (1.0 / math.sqrt(col_min)) < math.inf:
+        raise ValueError("factored_reconstruct: a factor or the inverse root is not finite")
+    # one array per side, each root and quotient taken in place: a third
+    # vector here (a separate reciprocal) moved the minor page faults of a
+    # 512 x 512 step, which follow the heap layout
+    row_factor = np.sqrt(row)
+    np.divide(total_root, row_factor, out=row_factor)
+    col_factor = np.sqrt(col)
+    np.reciprocal(col_factor, out=col_factor)
+    return outer_quotient(row_factor, col_factor)
 
 
 def full_update(acc: Matrix, x: Matrix, decay: float, epsilon: float) -> Matrix:

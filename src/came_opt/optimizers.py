@@ -1,8 +1,8 @@
 """The optimizer family behind one stepping interface, `step_param`.
 
 adafactor, came and raw_confidence share one update pipeline (fold g^2 into
-the second moment, reconstruct it, normalize, RMS-clip, momentum) and differ
-only in the denominator of the final step:
+the second moment, normalize by its square root, RMS-clip, momentum) and
+differ only in the denominator of the final step:
 
   adafactor       none: step lr * m
   came            sqrt of a factored average of the instability (u_hat - m)^2
@@ -20,9 +20,15 @@ raises and leaves the state untouched; a gradient with a NaN or infinite
 entry raises.
 
 A step works in place on the arrays it allocates itself, so only the new
-theta and the new state's arrays outlive it. Every expression keeps its
-evaluation order, so trajectories are bitwise those of the plain formulas
-with one fresh array per operation.
+theta and the new state's arrays outlive it. A factored accumulator
+(second moment, came's instability) divides by the square root of its
+rank-1 surrogate in factor space: the step multiplies by the inverse root
+sqrt(sum(row)) / sqrt(row_i) * (1 / sqrt(col_j)) that `factored_reconstruct`
+builds from n + m square roots, so the surrogate is never formed. That
+differs from dividing by sqrt(row_i * col_j / sum(row)) by a few ulp. On the
+1-D path and for adam every expression keeps its evaluation order, so those
+trajectories are bitwise those of the plain formulas with one fresh array
+per operation.
 """
 
 from __future__ import annotations
@@ -196,7 +202,9 @@ def step_param(theta: Matrix, g: Matrix, state: OptimizerState, cfg: OptimizerCo
     itself and keeps no scratch buffer between calls. Every candidate value
     is computed and checked before the state is touched, so a step that
     raises (shape mismatch, non-finite gradient, nonpositive denominator)
-    leaves the state as it was.
+    leaves the state as it was. A factored accumulator is applied through
+    its factor-space inverse root, a few ulp from the plain sqrt(V) form;
+    the 1-D path and adam are bitwise the plain formulas.
     """
     expected = state.m.shape
     if theta.shape != expected or g.shape != expected:
@@ -227,18 +235,20 @@ def step_param(theta: Matrix, g: Matrix, state: OptimizerState, cfg: OptimizerCo
         state.m, state.v, state.t = m_new, v_new, t_next
         return theta_new
 
-    # adafactor pipeline: fold g^2, reconstruct v, normalize, clip, momentum
+    # adafactor pipeline: fold g^2, normalize by sqrt(v), clip, momentum
     v, v_row, v_col = state.v, state.v_row, state.v_col
     if v is None:  # factored
         v_row, v_col = factored_update(v_row, v_col, np.square(g), cfg.beta2, cfg.eps1)
         _require_finite(v_row, v_col)
-        root = _require_positive(factored_reconstruct(v_row, v_col), "second-moment surrogate")
-        np.sqrt(root, out=root)  # the reconstruction is fresh
+        # g / sqrt(V) as g * (1 / sqrt(V)), in the fresh inverse root's array
+        root = factored_reconstruct(v_row, v_col)
+        np.multiply(g, root, out=root)
     else:
         v = full_update(v, np.square(g), cfg.beta2, cfg.eps1)
         _require_finite(v)
         root = np.sqrt(_require_positive(v, "second-moment surrogate"))
-    u_hat = clip_by_rms(np.divide(g, root, out=root), cfg.clip_d)
+        np.divide(g, root, out=root)
+    u_hat = clip_by_rms(root, cfg.clip_d)
     m_new = np.multiply(cfg.beta1, state.m, out=root)  # reuses the unclipped update's array
     del root
 
@@ -255,16 +265,19 @@ def step_param(theta: Matrix, g: Matrix, state: OptimizerState, cfg: OptimizerCo
             np.subtract(u_hat, m_ref, out=buf)
             del u_hat
             np.square(buf, out=buf)
-            if s is None:  # factored
+            if s is None:  # factored: m / sqrt(S) as m * (1 / sqrt(S))
                 s_row, s_col = factored_update(s_row, s_col, buf, cfg.beta3, cfg.eps2)
-                surrogate = factored_reconstruct(s_row, s_col)
+                # the product goes into the residual's array and the fresh
+                # inverse root is freed at once: the peak is the same, and
+                # with glibc malloc at 512 x 512 a step then takes about half
+                # the minor page faults of the other way round
+                inv_root = factored_reconstruct(s_row, s_col)
+                np.multiply(m_new, inv_root, out=buf)
+                del inv_root
             else:
-                s = surrogate = full_update(s, buf, cfg.beta3, cfg.eps2)
-            # sqrt(s) goes into the residual's array, not into the fresh
-            # reconstruction: the peak is the same, and with glibc malloc at
-            # 512 x 512 a step then takes about half the minor page faults
-            np.sqrt(_require_positive(surrogate, "instability surrogate"), out=buf)
-            del surrogate
+                s = full_update(s, buf, cfg.beta3, cfg.eps2)
+                np.sqrt(_require_positive(s, "instability surrogate"), out=buf)
+                np.divide(m_new, buf, out=buf)
         else:  # raw_confidence
             np.subtract(m_new, u_hat, out=buf)
             del u_hat
@@ -272,7 +285,7 @@ def step_param(theta: Matrix, g: Matrix, state: OptimizerState, cfg: OptimizerCo
             buf += cfg.eps3
             _require_positive(buf, "confidence denominator")
             np.sqrt(buf, out=buf)
-        np.divide(m_new, buf, out=buf)
+            np.divide(m_new, buf, out=buf)
         buf *= lr
     theta_new = np.subtract(theta, buf, out=buf)
 

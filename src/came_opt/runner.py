@@ -97,7 +97,11 @@ class RunResult:
 
 
 def run(config: RunConfig) -> RunResult:
-    """Train one problem with one optimizer; everything stays in memory."""
+    """Train one problem with one optimizer; everything stays in memory.
+
+    A NaN or infinite loss, at a step or at the end, raises ValueError naming
+    the step: a diverged run records nothing past it.
+    """
     problem = build_problem(config.problem, config.problem_args)
     params = initial_params(problem, config.seed)
     states = {
@@ -115,7 +119,10 @@ def run(config: RunConfig) -> RunResult:
     wall_start = time.perf_counter()
     for t in range(1, n + 1):
         t0 = time.perf_counter()
-        loss_rec[t - 1] = problem.loss(params)
+        loss = problem.loss(params)
+        if not math.isfinite(loss):
+            raise ValueError(f"loss is {loss!r} at step {t}: the run diverged")
+        loss_rec[t - 1] = loss
         grads = problem.grad(params)
         g_sq = 0.0
         u_sq = 0.0
@@ -139,6 +146,8 @@ def run(config: RunConfig) -> RunResult:
         ms_rec[t - 1] = (time.perf_counter() - t0) * 1000.0
 
     final_loss = float(problem.loss(params))
+    if not math.isfinite(final_loss):
+        raise ValueError(f"final loss is {final_loss!r} after step {n}: the run diverged")
     total_ms = (time.perf_counter() - wall_start) * 1000.0
 
     steps_to = None

@@ -51,9 +51,12 @@ def rms(m: Matrix) -> float:
 
 
 def outer_quotient(r: Matrix, c: Matrix) -> Matrix:
-    """Rank-1 reconstruction r * c / sum(r): (n x 1, 1 x m) -> n x m.
+    """Rank-1 array of quotients from its factors: (n x 1, 1 x m) -> n x m, entry r_i * c_j.
 
-    Entry (i, j) is r_i * c_j / sum_k r_k. Requires strictly positive r.
+    `factored_reconstruct` passes the numerators sqrt(sum(row)) / sqrt(row_i)
+    and the reciprocal denominators 1 / sqrt(col_j), so entry (i, j) is the
+    quotient sqrt(sum(row) / (row_i * col_j)); its callers check the values.
+    The n x m result is the only array it allocates.
     """
     _check(r, "r")
     _check(c, "c")
@@ -61,15 +64,7 @@ def outer_quotient(r: Matrix, c: Matrix) -> Matrix:
         raise ValueError(f"r must be a column vector, got shape {r.shape}")
     if c.shape[0] != 1:
         raise ValueError(f"c must be a row vector, got shape {c.shape}")
-    # np.any(r <= 0.0) as one reduction: fmin skips NaN, inf seeds an empty r
-    if np.fmin.reduce(r, axis=None, initial=math.inf) <= 0.0:
-        raise ValueError("outer_quotient requires strictly positive r entries")
-    denom = float(np.add.reduce(r, axis=None))
-    if denom <= 0.0:
-        raise ValueError("outer_quotient requires a positive row-factor total")
-    # each entry is the single product r_i * c_j, the same value r @ c gives, so
-    # dividing in place matches (r @ c) / denom bitwise; einsum, unlike the
-    # broadcast r * c, allocates no iteration buffer next to its n x m result
-    out = np.einsum("ik,kj->ij", r, c)
-    out /= denom
-    return out
+    # each entry is the single product r_i * c_j, the same value r @ c gives;
+    # einsum, unlike the broadcast r * c, allocates no iteration buffer next
+    # to its n x m result
+    return np.einsum("ik,kj->ij", r, c)

@@ -6,6 +6,7 @@ Tolerances and budgets are fixed here, not configurable.
 
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -233,8 +234,8 @@ def test_criterion_8_determinism(tmp_path):
         assert code == 0
         blobs.append(
             (
-                open(prefix + "_trace.csv", "rb").read(),
-                open(prefix + "_summary.json", "rb").read(),
+                Path(prefix + "_trace.csv").read_bytes(),
+                Path(prefix + "_summary.json").read_bytes(),
             )
         )
     ok = blobs[0] == blobs[1]

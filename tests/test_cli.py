@@ -1,9 +1,12 @@
 import dataclasses
 import json
+import math
 import os
+from pathlib import Path
 
 import pytest
 
+from came_opt import runner as runner_module
 from came_opt.cli import _HYPER, _HYPER_FIELD, _optimizer_config, main
 from came_opt.optimizers import OptimizerConfig
 
@@ -27,10 +30,10 @@ def test_run_writes_trace_and_summary(tmp_path, capsys):
     )
     assert code == 0
     assert "final_loss=" in stdout
-    trace = open(out + "_trace.csv").read().splitlines()
+    trace = Path(out + "_trace.csv").read_text().splitlines()
     assert trace[0] == "step,loss,grad_rms,update_rms,lr,elapsed_ms"
     assert len(trace) == 26
-    summary = json.loads(open(out + "_summary.json").read())
+    summary = json.loads(Path(out + "_summary.json").read_text())
     assert summary["optimizer"] == "adam"
     assert summary["problem_args"] == {"dim": 4}
     assert summary["steps"] == 25
@@ -49,13 +52,13 @@ def test_run_strict_mode_is_byte_identical(tmp_path, capsys):
         assert code == 0
         blobs.append(
             (
-                open(out + "_trace.csv", "rb").read(),
-                open(out + "_summary.json", "rb").read(),
+                Path(out + "_trace.csv").read_bytes(),
+                Path(out + "_summary.json").read_bytes(),
             )
         )
-        header = open(out + "_trace.csv").read().splitlines()[0]
+        header = Path(out + "_trace.csv").read_text().splitlines()[0]
         assert header == "step,loss,grad_rms,update_rms,lr"
-        timing = open(out + "_timing.csv").read().splitlines()
+        timing = Path(out + "_timing.csv").read_text().splitlines()
         assert timing[0] == "step,elapsed_ms"
     assert blobs[0] == blobs[1]
 
@@ -77,6 +80,22 @@ def test_unknown_problem_emits_error_json(tmp_path, capsys):
     assert code == 1
     payload = read_error(err)
     assert "unknown problem" in payload["message"]
+
+
+def test_diverged_run_exits_1_with_error_json(tmp_path, capsys, monkeypatch):
+    # a loss that overflows while the gradient stays finite
+    build = runner_module.build_problem
+    monkeypatch.setattr(
+        runner_module,
+        "build_problem",
+        lambda name, args: dataclasses.replace(build(name, args), loss=lambda params: math.inf),
+    )
+    code, _, err = run_cli(
+        capsys, "run", "--problem", "quadratic:dim=4", "--out", str(tmp_path / "d")
+    )
+    assert code == 1
+    assert "loss is inf at step 1" in read_error(err)["message"]
+    assert not (tmp_path / "d_trace.csv").exists()
 
 
 def test_invalid_hyperparameter_names_field(tmp_path, capsys):
@@ -153,7 +172,7 @@ def test_config_file_and_flag_precedence(tmp_path, capsys):
         capsys, "run", "--config", str(cfg), "--lr", "0.25", "--out", out
     )
     assert code == 0
-    summary = json.loads(open(out + "_summary.json").read())
+    summary = json.loads(Path(out + "_summary.json").read_text())
     assert summary["optimizer"] == "adafactor"  # from file
     assert summary["steps"] == 7  # from file
     assert summary["optimizer_config"]["lr"] == 0.25  # flag beats file
@@ -180,10 +199,10 @@ def test_compare_cli_writes_columns(tmp_path, capsys):
     )
     assert code == 0
     assert "median final loss" in stdout
-    lines = open(out + "_compare.csv").read().splitlines()
+    lines = Path(out + "_compare.csv").read_text().splitlines()
     assert lines[0] == "step,came,adafactor"
     assert len(lines) == 31
-    payload = json.loads(open(out + "_compare.json").read())
+    payload = json.loads(Path(out + "_compare.json").read_text())
     assert set(payload["optimizers"]) == {"came", "adafactor"}
     assert payload["seeds"] == [1, 2]
 
@@ -253,7 +272,7 @@ def test_memory_cli_bundled_and_file(tmp_path, capsys):
         "--scale", "2", "--out", out,
     )
     assert code == 0
-    payload = json.loads(open(out + "_memory.json").read())
+    payload = json.loads(Path(out + "_memory.json").read_text())
     assert payload["baseline"] == "adafactor"
     assert payload["totals"]["adam"] == 2 * (128 * 64 + 64)
 

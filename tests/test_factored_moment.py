@@ -63,6 +63,18 @@ def test_nmf_rank1_rejects_bad_input():
         nmf_rank1(np.array([[0.0, 0.0]]))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_nmf_rank1_and_kl_reject_non_finite_input(bad):
+    # np.any(v < 0.0) is False for NaN, so these used to return NaN factors
+    with_bad = np.array([[1.0, bad], [2.0, 3.0]])
+    with pytest.raises(ValueError, match="finite v"):
+        nmf_rank1(with_bad)
+    with pytest.raises(ValueError, match="finite v"):
+        generalized_kl(with_bad, np.ones((2, 2)))
+    with pytest.raises(ValueError, match="finite a"):
+        generalized_kl(np.ones((2, 2)), with_bad)
+
+
 # ---------------------------------------------------------------------------
 # generalized_kl
 # ---------------------------------------------------------------------------
@@ -221,30 +233,37 @@ def test_step_checks_reject_exactly_what_min_and_max_rejected(case):
 
 
 def test_reconstruct_scalar_equals_col_acc():
+    # 1 x 1: row == col, so sqrt(sum) / sqrt(row) is exactly 1 and the inverse
+    # root is the correctly rounded 1 / sqrt(col)
     row, col = factored_update(*zero_factors(1, 1), np.array([[2.0]]), 0.99, 1e-12)
-    np.testing.assert_array_equal(factored_reconstruct(row, col), col)
+    np.testing.assert_array_equal(factored_reconstruct(row, col), 1.0 / np.sqrt(col))
 
 
 def test_reconstruct_single_rank1_update_exact():
-    # with epsilon 0 the smoothed matrix stays rank 1, so reconstruction is exact
+    # with epsilon 0 the smoothed matrix stays rank 1, so the inverse root is exact
     rng = np.random.Generator(np.random.PCG64(5))
     w = rng.uniform(0.2, 1.5, size=(4, 1))
     h = rng.uniform(0.2, 1.5, size=(1, 6))
     x = w @ h
     factors = factored_update(*zero_factors(4, 6), x, 0.99, 0.0)
-    np.testing.assert_allclose(factored_reconstruct(*factors), (1 - 0.99) * x, rtol=1e-13)
+    np.testing.assert_allclose(
+        factored_reconstruct(*factors), 1.0 / np.sqrt((1 - 0.99) * x), rtol=1e-13
+    )
 
     # constant matrices stay rank 1 even with the epsilon shift
     const = np.full((3, 2), 0.7)
     eps = 1e-3
     factors = factored_update(*zero_factors(3, 2), const, 0.9, eps)
-    np.testing.assert_allclose(factored_reconstruct(*factors), 0.1 * (const + eps), rtol=1e-13)
+    np.testing.assert_allclose(
+        factored_reconstruct(*factors), 1.0 / np.sqrt(0.1 * (const + eps)), rtol=1e-13
+    )
 
 
 def test_reconstruct_hand_case():
+    # the surrogate is [[1.2, 1.8], [2.8, 4.2]]; the reconstruction is its inverse root
     np.testing.assert_allclose(
         factored_reconstruct(np.array([[3.0], [7.0]]), np.array([[4.0, 6.0]])),
-        np.array([[1.2, 1.8], [2.8, 4.2]]),
+        1.0 / np.sqrt(np.array([[1.2, 1.8], [2.8, 4.2]])),
         rtol=1e-14,
     )
 
@@ -253,6 +272,62 @@ def test_reconstruct_refuses_unupdated_state():
     # zero factors, as make_state allocates them, fail the positivity check
     with pytest.raises(ValueError, match="strictly positive"):
         factored_reconstruct(*zero_factors(2, 2))
+
+
+# Special values planted in one entry of the row or the column factor of a
+# positive 3 x 1, 1 x 2 pair; 1e-310 is subnormal and 5e-324 the smallest one.
+RECONSTRUCT_SPECIALS = (0.0, -0.0, -1.0, math.nan, math.inf, -math.inf, 1e-310, 5e-324)
+RECONSTRUCT_CASES = [
+    (side, value) for side in ("row", "col") for value in RECONSTRUCT_SPECIALS
+] + [("row", "sum-overflows")]
+
+
+def reconstruct_inputs(side, value):
+    row, col = np.array([[0.5], [1.5], [2.0]]), np.array([[1.0, 3.0]])
+    if value == "sum-overflows":
+        row[:] = 1e308
+    elif side == "row":
+        row[1, 0] = value
+    else:
+        col[0, 1] = value
+    return row, col
+
+
+def surrogate_check_rejects(row, col):
+    """The checks the surrogate used to pass: strictly positive row entries
+    (NaN skipped), a positive total, and a surrogate row_i * col_j / sum(row)
+    whose NaN-propagating min is positive (the step's check)."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        if np.any(row <= 0.0) or not float(row.sum()) > 0.0:
+            return True
+        surrogate = (row @ col) / float(row.sum())
+    return not np.minimum.reduce(surrogate, axis=None) > 0.0
+
+
+@pytest.mark.parametrize(
+    "side,value", RECONSTRUCT_CASES, ids=[f"{s}-{v}" for s, v in RECONSTRUCT_CASES]
+)
+def test_reconstruct_rejects_what_the_surrogate_check_rejected(side, value):
+    # the checks moved from the n x m surrogate to its factors and the scalars
+    # built from them; the answer is the same in every case but one: a
+    # product row_i * col_j that underflows to 0 was rejected, and its inverse
+    # root is now finite (here the smallest subnormal, 5e-324, in either factor)
+    row, col = reconstruct_inputs(side, value)
+    try:
+        with np.errstate(over="ignore"):  # the sum-overflows case warns in the sum
+            inv_root = factored_reconstruct(row, col)
+        rejected = False
+    except ValueError as exc:
+        assert "factored_reconstruct" in str(exc)
+        rejected = True
+    if value == 5e-324:
+        assert surrogate_check_rejects(row, col) and not rejected
+    else:
+        assert rejected == surrogate_check_rejects(row, col)
+    if not rejected:
+        # every entry finite and nonnegative: an infinite col_j gives 1 / sqrt(inf) = 0,
+        # as g / sqrt(inf) did
+        assert np.all(np.isfinite(inv_root)) and np.all(inv_root >= 0.0)
 
 
 def test_smoothing_parameter_validation():
@@ -296,7 +371,9 @@ def test_full_matches_factored_on_scalars():
         factors = factored_update(*factors, x, 0.99, 1e-10)
         full = full_update(full, x, 0.99, 1e-10)
         assert abs(factors[1][0, 0] - full[0, 0]) <= 1e-15
-        assert abs(factored_reconstruct(*factors)[0, 0] - full[0, 0]) <= 1e-15
+        inv_root = factored_reconstruct(*factors)[0, 0]
+        assert inv_root == 1.0 / math.sqrt(factors[1][0, 0])
+        assert inv_root == pytest.approx(1.0 / math.sqrt(full[0, 0]), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -332,8 +409,9 @@ def test_reconstruction_consistency():
     row, col = zero_factors(6, 4)
     for _ in range(10):
         row, col = factored_update(row, col, rand_nonneg(rng, 6, 4), 0.9, 1e-12)
-    approx = factored_reconstruct(row, col)
-    assert np.all(approx > 0)
+    inv_root = factored_reconstruct(row, col)
+    assert np.all(inv_root > 0) and np.all(np.isfinite(inv_root))
+    approx = 1.0 / np.square(inv_root)  # the surrogate, back from its inverse root
     np.testing.assert_allclose(row_sums(approx), row, rtol=1e-12)
     np.testing.assert_allclose(col_sums(approx), col, rtol=1e-12)
 

@@ -234,8 +234,8 @@ def test_came_residual_uses_updated_momentum_by_default():
     state = make_state("came", (1, 1), cfg)
     step_param(scalar_theta(1.0), scalar_theta(2.0), state, cfg)
     expected = (1.0 - cfg.beta3) * ((0.9 * 1.0) ** 2 + cfg.eps2)
-    s = factored_reconstruct(state.s_row, state.s_col)
-    assert s[0, 0] == pytest.approx(expected, rel=1e-12)
+    inv_root = factored_reconstruct(state.s_row, state.s_col)  # 1 / sqrt(S)
+    assert inv_root[0, 0] == pytest.approx(1.0 / math.sqrt(expected), rel=1e-12)
 
 
 def test_came_residual_vs_prev_flag():
@@ -244,8 +244,8 @@ def test_came_residual_vs_prev_flag():
     state = make_state("came", (1, 1), cfg)
     step_param(scalar_theta(1.0), scalar_theta(2.0), state, cfg)
     expected = (1.0 - cfg.beta3) * (1.0**2 + cfg.eps2)
-    s = factored_reconstruct(state.s_row, state.s_col)
-    assert s[0, 0] == pytest.approx(expected, rel=1e-12)
+    inv_root = factored_reconstruct(state.s_row, state.s_col)  # 1 / sqrt(S)
+    assert inv_root[0, 0] == pytest.approx(1.0 / math.sqrt(expected), rel=1e-12)
 
 
 def test_came_sign_property_on_scalars():
@@ -295,11 +295,14 @@ def test_accumulators_stay_positive_with_sparse_gradients():
                 g = np.zeros(shape)
             theta = step_param(theta, g, state, cfg)
             if len(dims) == 2:
-                v = factored_reconstruct(state.v_row, state.v_col)
-                s = factored_reconstruct(state.s_row, state.s_col)
+                # finite inverse roots are roots of positive, finite surrogates
+                for inv_root in (
+                    factored_reconstruct(state.v_row, state.v_col),
+                    factored_reconstruct(state.s_row, state.s_col),
+                ):
+                    assert np.all(inv_root > 0.0) and np.all(np.isfinite(inv_root))
             else:
-                v, s = state.v, state.s
-            assert np.all(v > 0.0) and np.all(s > 0.0)
+                assert np.all(state.v > 0.0) and np.all(state.s > 0.0)
             assert np.all(np.isfinite(theta))
 
 
@@ -544,18 +547,30 @@ def test_step_writes_no_input_and_returns_fresh_arrays(variant, dims, residual_v
     assert not np.shares_memory(theta_new, state.m)
 
 
-def _ref_fold(acc, x):
-    """Parent-style allocating accumulator update: returns (new acc, reconstruction)."""
+def _ref_fold(acc, x, factor_space=True):
+    """Parent-style allocating accumulator update: returns (new acc, x -> x / sqrt(acc)).
+
+    A factored accumulator divides by the root of its rank-1 surrogate in
+    factor space, multiplying by sqrt(sum(row)) / sqrt(row_i) * (1 / sqrt(col_j))
+    as the step does; with factor_space=False it forms the surrogate
+    row_i * col_j / sum(row) and divides by its square root, Algorithm 1's
+    sqrt(V) form. A full accumulator always divides by its square root.
+    """
     kind, d, eps, arrays = acc
     if kind == "factored":
         row, col = arrays
         shifted = x + eps
         row = d * row + (1.0 - d) * shifted.sum(axis=1, keepdims=True)
         col = d * col + (1.0 - d) * shifted.sum(axis=0, keepdims=True)
-        return (kind, d, eps, (row, col)), (row @ col) / float(row.sum())
+        new = (kind, d, eps, (row, col))
+        if factor_space:
+            inv_root = (math.sqrt(row.sum()) / np.sqrt(row)) @ (1.0 / np.sqrt(col))
+            return new, lambda y: y * inv_root
+        surrogate = (row @ col) / float(row.sum())
+        return new, lambda y: y / np.sqrt(surrogate)
     (full,) = arrays
     full = d * full + (1.0 - d) * (x + eps)
-    return (kind, d, eps, (full,)), full
+    return (kind, d, eps, (full,)), lambda y: y / np.sqrt(full)
 
 
 def _ref_acc(dims, decay, eps):
@@ -565,8 +580,12 @@ def _ref_acc(dims, decay, eps):
     return ("full", decay, eps, (np.zeros((rows, cols)),))
 
 
-def reference_step(variant, theta, g, ref, cfg):
-    """Plain allocating transcription of the step's expressions, in their order."""
+def reference_step(variant, theta, g, ref, cfg, factor_space=True):
+    """Plain allocating transcription of the step's expressions, in their order.
+
+    factor_space=False divides by the square roots of the factored surrogates
+    instead of multiplying by their factor-space inverse roots.
+    """
     t = ref["t"] + 1
     lr = cfg.lr * min(1.0, t / cfg.warmup_steps) if cfg.warmup_steps else cfg.lr
     if variant == "adam":
@@ -576,14 +595,16 @@ def reference_step(variant, theta, g, ref, cfg):
         v_hat = v / (1.0 - cfg.beta2**t)
         ref.update(m=m, v=v, t=t)
         return theta - lr * (m_hat / (np.sqrt(v_hat) + cfg.adam_eps))
-    ref["sm"], v = _ref_fold(ref["sm"], np.square(g))
-    u = g / np.sqrt(v)
+    ref["sm"], normalize_v = _ref_fold(ref["sm"], np.square(g), factor_space)
+    u = normalize_v(g)
     u_hat = u / max(1.0, math.sqrt(float(np.mean(np.square(u)))) / cfg.clip_d)
     m = cfg.beta1 * ref["m"] + (1.0 - cfg.beta1) * u_hat
     if variant == "came":
         m_ref = ref["m"] if cfg.came_residual_vs_prev else m
-        ref["instab"], s = _ref_fold(ref["instab"], np.square(u_hat - m_ref))
-        theta_new = theta - lr * (m / np.sqrt(s))
+        ref["instab"], normalize_s = _ref_fold(
+            ref["instab"], np.square(u_hat - m_ref), factor_space
+        )
+        theta_new = theta - lr * normalize_s(m)
     elif variant == "raw_confidence":
         theta_new = theta - lr * (m / np.sqrt(np.square(m - u_hat) + cfg.eps3))
     else:
@@ -613,3 +634,41 @@ def test_step_matches_allocating_reference_bitwise(variant, dims):
                 theta_ref = reference_step(variant, theta_ref, g, ref, cfg)
                 assert np.array_equal(theta, theta_ref)
                 assert np.array_equal(state.m, ref["m"])
+
+
+# Bound on the distance between the step and Algorithm 1's sqrt(V) / sqrt(S)
+# form, fixed before the test was first run: 4 ulp of the array's largest
+# entry for every step taken. The factor-space inverse root rounds a few more
+# times than dividing by the root of the formed surrogate, and each step's
+# rounding differences carry into theta and the momentum. raw_confidence's
+# theta is held to the bound only through its momentum: its step
+# m / sqrt((m - u_hat)^2 + eps3) is the paper's unaveraged ablation, and where
+# m nearly equals u_hat it multiplies a 1-ulp difference in u_hat by about
+# lr |m| |m - u_hat| / denominator^3 (1767 ulp per step on the 32 x 48 case).
+ULP_PER_STEP = 4
+
+
+@pytest.mark.parametrize("residual_vs_prev", [False, True])
+@pytest.mark.parametrize(
+    "dims", [(1, 1), (5,), (7, 3), (64, 1), (32, 48)], ids=["1x1", "5", "7x3", "64x1", "32x48"]
+)
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_step_tracks_algorithm_1_sqrt_form(variant, dims, residual_vs_prev):
+    shape = storage_shape(dims)
+    cfg = OptimizerConfig(came_residual_vs_prev=residual_vs_prev)
+    rng = np.random.Generator(np.random.PCG64(32))
+    state = make_state(variant, dims, cfg)
+    ref = {"m": np.zeros(shape), "v": np.zeros(shape), "t": 0}
+    ref["sm"] = _ref_acc(dims, cfg.beta2, cfg.eps1)
+    ref["instab"] = _ref_acc(dims, cfg.beta3, cfg.eps2)
+    theta = theta_ref = rng.standard_normal(shape)
+    for t in range(1, 61):
+        g = rng.standard_normal(shape) * rng.uniform(0.01, 10.0)
+        theta = step_param(theta, g, state, cfg)
+        theta_ref = reference_step(variant, theta_ref, g, ref, cfg, factor_space=False)
+        pairs = [(state.m, ref["m"])]
+        if variant != "raw_confidence":
+            pairs.append((theta, theta_ref))
+        for got, want in pairs:
+            bound = ULP_PER_STEP * t * np.spacing(np.max(np.abs(want)))
+            assert np.max(np.abs(got - want)) <= bound

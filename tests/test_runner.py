@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -97,6 +98,37 @@ def test_run_names_parameter_and_step_of_a_non_finite_gradient(monkeypatch, vari
         run(quad_config(optimizer=variant))
 
 
+def overflowing_loss_problem(monkeypatch, at_call):
+    """Patch build_problem so the loss returns inf from its at_call-th call on,
+    while the gradient stays finite."""
+    build = runner_module.build_problem
+
+    def build_overflowing(name, args):
+        problem = build(name, args)
+        calls = []
+
+        def loss(params):
+            calls.append(None)
+            return math.inf if len(calls) >= at_call else problem.loss(params)
+
+        return dataclasses.replace(problem, loss=loss)
+
+    monkeypatch.setattr(runner_module, "build_problem", build_overflowing)
+
+
+def test_run_stops_at_the_first_non_finite_loss(monkeypatch):
+    overflowing_loss_problem(monkeypatch, at_call=3)
+    with pytest.raises(ValueError, match=r"loss is inf at step 3"):
+        run(quad_config(optimizer="came"))
+
+
+def test_run_rejects_a_non_finite_final_loss(monkeypatch):
+    # one loss call per step for 50 steps, then the final loss
+    overflowing_loss_problem(monkeypatch, at_call=51)
+    with pytest.raises(ValueError, match=r"final loss is inf after step 50"):
+        run(quad_config())
+
+
 @pytest.mark.parametrize("variant", ["came", "adam"])
 def test_run_rms_columns_match_a_plain_transcription_bitwise(variant):
     steps = 6
@@ -191,23 +223,23 @@ def test_warmup_ramp_shows_in_trace():
 def test_write_outputs_plain_mode(tmp_path):
     result = run(quad_config(steps=8))
     paths = write_run_outputs(result, str(tmp_path / "r"), strict=False)
-    lines = open(paths["trace"]).read().splitlines()
+    lines = Path(paths["trace"]).read_text().splitlines()
     assert lines[0] == "step,loss,grad_rms,update_rms,lr,elapsed_ms"
     assert len(lines) == 9
     assert "timing" not in paths
-    summary = open(paths["summary"]).read()
+    summary = Path(paths["summary"]).read_text()
     assert "total_wall_ms" in summary
 
 
 def test_write_outputs_strict_mode(tmp_path):
     result = run(quad_config(steps=8))
     paths = write_run_outputs(result, str(tmp_path / "r"), strict=True)
-    lines = open(paths["trace"]).read().splitlines()
+    lines = Path(paths["trace"]).read_text().splitlines()
     assert lines[0] == "step,loss,grad_rms,update_rms,lr"
-    timing = open(paths["timing"]).read().splitlines()
+    timing = Path(paths["timing"]).read_text().splitlines()
     assert timing[0] == "step,elapsed_ms"
     assert len(timing) == 9
-    assert "total_wall_ms" not in open(paths["summary"]).read()
+    assert "total_wall_ms" not in Path(paths["summary"]).read_text()
 
 
 def test_strict_outputs_are_byte_identical_across_runs(tmp_path):
@@ -216,7 +248,7 @@ def test_strict_outputs_are_byte_identical_across_runs(tmp_path):
         result = run(quad_config(steps=12))
         paths = write_run_outputs(result, str(tmp_path / tag), strict=True)
         blobs.append(
-            (open(paths["trace"], "rb").read(), open(paths["summary"], "rb").read())
+            (Path(paths["trace"]).read_bytes(), Path(paths["summary"]).read_bytes())
         )
     assert blobs[0] == blobs[1]
 
@@ -298,7 +330,7 @@ def test_write_compare_outputs(tmp_path):
         [quad_config(optimizer="came"), quad_config(optimizer="adafactor")], seeds=[1]
     )
     paths = write_compare_outputs(result, str(tmp_path / "c"))
-    lines = open(paths["csv"]).read().splitlines()
+    lines = Path(paths["csv"]).read_text().splitlines()
     assert lines[0] == "step,came,adafactor"
     assert len(lines) == 51
     assert os.path.exists(paths["json"])
