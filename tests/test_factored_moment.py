@@ -65,7 +65,7 @@ def test_nmf_rank1_rejects_bad_input():
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_nmf_rank1_and_kl_reject_non_finite_input(bad):
-    # np.any(v < 0.0) is False for NaN, so these used to return NaN factors
+    # np.any(v < 0.0) is False for NaN: only the finiteness check stops a NaN result
     with_bad = np.array([[1.0, bad], [2.0, 3.0]])
     with pytest.raises(ValueError, match="finite v"):
         nmf_rank1(with_bad)
@@ -294,9 +294,9 @@ def reconstruct_inputs(side, value):
 
 
 def surrogate_check_rejects(row, col):
-    """The checks the surrogate used to pass: strictly positive row entries
-    (NaN skipped), a positive total, and a surrogate row_i * col_j / sum(row)
-    whose NaN-propagating min is positive (the step's check)."""
+    """The check on the formed surrogate that the factor checks replace:
+    strictly positive row entries (NaN skipped), a positive total, and a
+    surrogate row_i * col_j / sum(row) whose NaN-propagating min is positive."""
     with np.errstate(invalid="ignore", over="ignore"):
         if np.any(row <= 0.0) or not float(row.sum()) > 0.0:
             return True

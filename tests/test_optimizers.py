@@ -548,7 +548,7 @@ def test_step_writes_no_input_and_returns_fresh_arrays(variant, dims, residual_v
 
 
 def _ref_fold(acc, x, factor_space=True):
-    """Parent-style allocating accumulator update: returns (new acc, x -> x / sqrt(acc)).
+    """Plain allocating accumulator update: returns (new acc, x -> x / sqrt(acc)).
 
     A factored accumulator divides by the root of its rank-1 surrogate in
     factor space, multiplying by sqrt(sum(row)) / sqrt(row_i) * (1 / sqrt(col_j))
