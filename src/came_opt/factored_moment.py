@@ -9,14 +9,17 @@ rank-1 surrogate from them on demand. The same functions serve both the
 squared-gradient accumulator and the instability accumulator, which differ
 only in decay and epsilon. An accumulator is plain arrays: a factored one
 is an n x 1 row factor and a 1 x m column factor, an unfactored one is a
-single array; the update functions return new arrays and never write their
-inputs.
+single array. The update functions return new accumulator arrays and never
+write the old ones; they take the n x m input x as scratch and add epsilon
+to it in place (`full_update` also scales it), so the step folds its own
+g^2 or squared residual without a copy. `full_update` and
+`factored_reconstruct` write their n x m result into `out` when given one.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -71,9 +74,10 @@ def factored_update(
 ) -> Tuple[Matrix, Matrix]:
     """Fold a nonnegative n x m matrix into the n x 1 and 1 x m factor averages.
 
-    Returns the new (row, col); the inputs are not written. epsilon is added
-    to every entry of x before the row and column sums are taken, each step,
-    which keeps both factors strictly positive whenever epsilon > 0.
+    Returns the new (row, col); row and col are not written. x is scratch:
+    epsilon is added to every entry of it in place before the row and column
+    sums are taken, so on return x holds x + epsilon. The shift keeps both
+    factors strictly positive whenever epsilon > 0.
     """
     n, m = x.shape
     if row.shape != (n, 1) or col.shape != (1, m):
@@ -81,21 +85,21 @@ def factored_update(
     # np.any(x < 0.0) without a bool mask: fmin skips NaN, inf seeds an empty x
     if np.fmin.reduce(x, axis=None, initial=np.inf) < 0.0:
         raise ValueError("factored accumulators only accept nonnegative input")
-    shifted = x + epsilon
-    row = decay * row + (1.0 - decay) * row_sums(shifted)
-    col = decay * col + (1.0 - decay) * col_sums(shifted)
+    x += epsilon
+    row = decay * row + (1.0 - decay) * row_sums(x)
+    col = decay * col + (1.0 - decay) * col_sums(x)
     return row, col
 
 
-def factored_reconstruct(row: Matrix, col: Matrix) -> Matrix:
+def factored_reconstruct(row: Matrix, col: Matrix, out: Optional[Matrix] = None) -> Matrix:
     """Inverse square root of the rank-1 surrogate row * col / sum(row), as an n x m array.
 
     Entry (i, j) is 1 / sqrt(row_i * col_j / sum(row)), built from the factors
     as sqrt(sum(row)) / sqrt(row_i) times 1 / sqrt(col_j): n + m square roots
-    and one `outer_quotient`, the only n x m write. The surrogate itself is
-    never formed. A factor with a zero (no updates yet), negative or NaN
-    entry is rejected, and so is an infinite sum or an inverse root that
-    overflows.
+    and one `outer_quotient` into out (or a fresh array), the only n x m
+    write. The surrogate itself is never formed. A factor with a zero (no
+    updates yet), negative or NaN entry is rejected, and so is an infinite
+    sum or an inverse root that overflows.
     """
     # np.minimum propagates NaN, so a NaN entry fails the test too
     row_min = np.minimum.reduce(row, axis=None)
@@ -118,17 +122,24 @@ def factored_reconstruct(row: Matrix, col: Matrix) -> Matrix:
     np.divide(total_root, row_factor, out=row_factor)
     col_factor = np.sqrt(col)
     np.reciprocal(col_factor, out=col_factor)
-    return outer_quotient(row_factor, col_factor)
+    return outer_quotient(row_factor, col_factor, out)
 
 
-def full_update(acc: Matrix, x: Matrix, decay: float, epsilon: float) -> Matrix:
-    """Entrywise counterpart of factored_update: decay * acc + (1 - decay) * (x + epsilon)."""
+def full_update(
+    acc: Matrix, x: Matrix, decay: float, epsilon: float, out: Optional[Matrix] = None
+) -> Matrix:
+    """Entrywise counterpart of factored_update: decay * acc + (1 - decay) * (x + epsilon).
+
+    acc is not written. x is scratch and holds (1 - decay) * (x + epsilon) on
+    return. The result goes into out when given (an array of acc's shape that
+    overlaps neither acc nor x), else into a fresh array.
+    """
     if x.shape != acc.shape:
         raise ValueError(f"shape mismatch: accumulator {acc.shape}, input {x.shape}")
     if np.fmin.reduce(x, axis=None, initial=np.inf) < 0.0:  # np.any(x < 0.0)
         raise ValueError("full accumulators only accept nonnegative input")
-    shifted = x + epsilon
-    shifted *= 1.0 - decay
-    new = decay * acc
-    new += shifted  # without a third temporary
+    x += epsilon
+    x *= 1.0 - decay
+    new = np.multiply(decay, acc, out=out)
+    new += x
     return new

@@ -19,23 +19,29 @@ fallback. A step either completes and advances the state exactly once, or
 raises and leaves the state untouched; a gradient with a NaN or infinite
 entry raises.
 
-A step works in place on the arrays it allocates itself, so only the new
-theta and the new state's arrays outlive it. A factored accumulator
-(second moment, came's instability) divides by the square root of its
-rank-1 surrogate in factor space: the step multiplies by the inverse root
-sqrt(sum(row)) / sqrt(row_i) * (1 / sqrt(col_j)) that `factored_reconstruct`
-builds from n + m square roots, so the surrogate is never formed. That
-differs from dividing by sqrt(row_i * col_j / sum(row)) by a few ulp. On the
-1-D path and for adam every expression keeps its evaluation order, so those
-trajectories are bitwise those of the plain formulas with one fresh array
-per operation.
+A step writes no input. It works in place on its own n x m arrays, taken
+from the caller's `spare` list while it lasts and allocated otherwise, and
+after committing it appends the parameter-shaped state arrays it retired.
+`runner.run` keeps such a list for every parameter of at least 128 KiB and
+adds the old theta to it, so a warm large step allocates at most one n x m
+array, and glibc stops handing pages back to the kernel only to fault them
+in again. Only the new theta and the new state's arrays outlive a step.
+
+A factored accumulator (second moment, came's instability) divides by the
+square root of its rank-1 surrogate in factor space: the step multiplies by
+the inverse root sqrt(sum(row)) / sqrt(row_i) * (1 / sqrt(col_j)) that
+`factored_reconstruct` builds from n + m square roots, so the surrogate is
+never formed. That differs from dividing by sqrt(row_i * col_j / sum(row))
+by a few ulp. On the 1-D path and for adam every expression keeps its
+evaluation order, so those trajectories are bitwise those of the plain
+formulas with one fresh array per operation, with or without spares.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -158,11 +164,15 @@ def make_state(variant: str, dims: Tuple[int, ...], cfg: OptimizerConfig) -> Opt
     return OptimizerState(variant=variant, dims=dims, **arrays)
 
 
-def clip_by_rms(u: Matrix, d: float) -> Matrix:
-    """Scale u down so its RMS never exceeds d: u / max(1, rms(u)/d)."""
+def clip_by_rms(u: Matrix, d: float, out: Optional[Matrix] = None) -> Matrix:
+    """Scale u down so its RMS never exceeds d: u / max(1, rms(u)/d).
+
+    With out (an array of u's shape), rms squares u into it and the result
+    overwrites the squares, so the clip allocates no n x m array.
+    """
     if d <= 0.0:
         raise ValueError(f"clip threshold must be positive, got {d}")
-    return u / max(1.0, rms(u) / d)
+    return np.divide(u, max(1.0, rms(u, out) / d), out=out)
 
 
 def warmup_lr(t: int, cfg: OptimizerConfig) -> float:
@@ -193,39 +203,75 @@ def _require_finite(*arrays: Matrix) -> None:
             )
 
 
-def step_param(theta: Matrix, g: Matrix, state: OptimizerState, cfg: OptimizerConfig) -> Matrix:
+def _check_spare(spare: List[Matrix], shape: Tuple[int, int], held: List[Matrix]) -> None:
+    # a spare may overlap neither what the step reads nor another spare
+    for a in spare:
+        if a.shape != shape or a.dtype != np.float64 or not a.flags.c_contiguous:
+            raise ValueError(
+                f"spare arrays must be C-contiguous float64 of shape {shape}, "
+                f"got {a.dtype} {a.shape}"
+            )
+        if any(np.may_share_memory(a, b) for b in held):
+            raise ValueError("spare: an array may overlap theta, g, the state or another spare")
+        held.append(a)
+
+
+def _reuse(spare: Optional[List[Matrix]]) -> Optional[Matrix]:
+    # the caller's last spare array, or None: the ufunc then allocates the result
+    return spare.pop() if spare else None
+
+
+def step_param(
+    theta: Matrix,
+    g: Matrix,
+    state: OptimizerState,
+    cfg: OptimizerConfig,
+    spare: Optional[List[Matrix]] = None,
+) -> Matrix:
     """One step of the state's variant; returns the new theta.
 
-    Ownership: the returned theta and the committed momentum and accumulators
-    are fresh arrays. theta, g and every array the state held before the call
-    are never written; the step works in place only on arrays it allocated
-    itself and keeps no scratch buffer between calls. Every candidate value
-    is computed and checked before the state is touched, so a step that
-    raises (shape mismatch, non-finite gradient, nonpositive denominator)
-    leaves the state as it was. A factored accumulator is applied through
-    its factor-space inverse root, a few ulp from the plain sqrt(V) form;
-    the 1-D path and adam are bitwise the plain formulas.
+    Ownership: theta, g and every array the state held before the call are
+    never written. spare is an optional list of arrays the caller gives up,
+    each C-contiguous float64 of the parameter's shape and overlapping none
+    of theta, g, the state and each other; anything else raises ValueError
+    naming spare before any work. Every parameter-shaped array the step
+    writes is taken from the end of spare while it lasts and allocated
+    otherwise; once the step has committed, it appends the arrays it retired
+    (the old momentum, and the old full accumulators of adam or of a 1-D
+    parameter). A runner that also appends the old theta keeps the list
+    balanced, so a warm step allocates at most one large array. Every
+    candidate value is computed and checked before the state is touched, so
+    a step that raises (shape mismatch, non-finite gradient, nonpositive
+    denominator) leaves the state as it was; it may have used up spares. A
+    factored accumulator is applied through its factor-space inverse root, a
+    few ulp from the plain sqrt(V) form; the 1-D path and adam are bitwise
+    the plain formulas.
     """
-    expected = state.m.shape
-    if theta.shape != expected or g.shape != expected:
+    shape = state.m.shape
+    if theta.shape != shape or g.shape != shape:
         raise ValueError(
-            f"shape mismatch: state expects {expected}, "
+            f"shape mismatch: state expects {shape}, "
             f"got theta {theta.shape} and gradient {g.shape}"
         )
+    # the parameter-shaped arrays a committed step replaces; the factors are small
+    retired = (state.m, state.v, state.s)
+    if spare:
+        factors = (state.v_row, state.v_col, state.s_row, state.s_col)
+        _check_spare(spare, shape, [a for a in (theta, g, *retired, *factors) if a is not None])
     t_next = state.t + 1
     lr = warmup_lr(t_next, cfg)
 
     if state.variant == "adam":
-        m_new = cfg.beta1 * state.m
-        buf = np.multiply(1.0 - cfg.beta1, g)
+        m_new = np.multiply(cfg.beta1, state.m, out=_reuse(spare))
+        buf = np.multiply(1.0 - cfg.beta1, g, out=_reuse(spare))
         m_new += buf
         np.square(g, out=buf)
         buf *= 1.0 - cfg.beta2
-        v_new = cfg.beta2 * state.v
+        v_new = np.multiply(cfg.beta2, state.v, out=_reuse(spare))
         v_new += buf
         _require_finite(v_new)
         np.divide(m_new, 1.0 - cfg.beta1**t_next, out=buf)  # m_hat
-        root = v_new / (1.0 - cfg.beta2**t_next)  # v_hat
+        root = np.divide(v_new, 1.0 - cfg.beta2**t_next, out=_reuse(spare))  # v_hat
         np.sqrt(root, out=root)
         root += cfg.adam_eps
         buf /= root
@@ -233,24 +279,28 @@ def step_param(theta: Matrix, g: Matrix, state: OptimizerState, cfg: OptimizerCo
         buf *= lr
         theta_new = np.subtract(theta, buf, out=buf)
         state.m, state.v, state.t = m_new, v_new, t_next
+        if spare is not None:
+            spare += [a for a in retired if a is not None]
         return theta_new
 
-    # adafactor pipeline: fold g^2, normalize by sqrt(v), clip, momentum
+    # adafactor pipeline: fold g^2, normalize by sqrt(v), clip, momentum.
+    # x holds g^2, then the unclipped update, then the new momentum
     v, v_row, v_col = state.v, state.v_row, state.v_col
+    x = np.square(g, out=_reuse(spare))
     if v is None:  # factored
-        v_row, v_col = factored_update(v_row, v_col, np.square(g), cfg.beta2, cfg.eps1)
+        v_row, v_col = factored_update(v_row, v_col, x, cfg.beta2, cfg.eps1)
         _require_finite(v_row, v_col)
-        # g / sqrt(V) as g * (1 / sqrt(V)), in the fresh inverse root's array
-        root = factored_reconstruct(v_row, v_col)
-        np.multiply(g, root, out=root)
+        # g / sqrt(V) as g * (1 / sqrt(V)), the inverse root built in x
+        factored_reconstruct(v_row, v_col, out=x)
+        np.multiply(g, x, out=x)
     else:
-        v = full_update(v, np.square(g), cfg.beta2, cfg.eps1)
+        v = full_update(v, x, cfg.beta2, cfg.eps1, out=_reuse(spare))
         _require_finite(v)
-        root = np.sqrt(_require_positive(v, "second-moment surrogate"))
-        np.divide(g, root, out=root)
-    u_hat = clip_by_rms(root, cfg.clip_d)
-    m_new = np.multiply(cfg.beta1, state.m, out=root)  # reuses the unclipped update's array
-    del root
+        np.sqrt(_require_positive(v, "second-moment surrogate"), out=x)
+        np.divide(g, x, out=x)
+    u_hat = clip_by_rms(x, cfg.clip_d, out=_reuse(spare))
+    m_new = np.multiply(cfg.beta1, state.m, out=x)
+    del x
 
     s, s_row, s_col = state.s, state.s_row, state.s_col
     if state.variant == "adafactor":
@@ -258,39 +308,34 @@ def step_param(theta: Matrix, g: Matrix, state: OptimizerState, cfg: OptimizerCo
         m_new += u_hat
         buf = np.multiply(m_new, lr, out=u_hat)
     else:
-        buf = np.multiply(1.0 - cfg.beta1, u_hat)
+        buf = np.multiply(1.0 - cfg.beta1, u_hat, out=_reuse(spare))
         m_new += buf
         if state.variant == "came":
             m_ref = state.m if cfg.came_residual_vs_prev else m_new
             np.subtract(u_hat, m_ref, out=buf)
-            del u_hat
             np.square(buf, out=buf)
-            if s is None:  # factored: m / sqrt(S) as m * (1 / sqrt(S))
+            if s is None:  # factored: m / sqrt(S) as m * (1 / sqrt(S)), in u_hat's array
                 s_row, s_col = factored_update(s_row, s_col, buf, cfg.beta3, cfg.eps2)
-                # the product goes into the residual's array and the fresh
-                # inverse root is freed at once: the peak is the same, and
-                # with glibc malloc at 512 x 512 a step then takes about half
-                # the minor page faults of the other way round
-                inv_root = factored_reconstruct(s_row, s_col)
-                np.multiply(m_new, inv_root, out=buf)
-                del inv_root
-            else:
-                s = full_update(s, buf, cfg.beta3, cfg.eps2)
+                buf = factored_reconstruct(s_row, s_col, out=u_hat)
+                np.multiply(m_new, buf, out=buf)
+            else:  # the new s in u_hat's array, its root in the residual's
+                s = full_update(s, buf, cfg.beta3, cfg.eps2, out=u_hat)
                 np.sqrt(_require_positive(s, "instability surrogate"), out=buf)
                 np.divide(m_new, buf, out=buf)
         else:  # raw_confidence
             np.subtract(m_new, u_hat, out=buf)
-            del u_hat
             np.square(buf, out=buf)
             buf += cfg.eps3
             _require_positive(buf, "confidence denominator")
             np.sqrt(buf, out=buf)
             np.divide(m_new, buf, out=buf)
+        del u_hat
         buf *= lr
     theta_new = np.subtract(theta, buf, out=buf)
 
     state.v, state.v_row, state.v_col = v, v_row, v_col
     state.s, state.s_row, state.s_col = s, s_row, s_col
     state.m, state.t = m_new, t_next
+    if spare is not None:
+        spare += [a for a in retired if a is not None]
     return theta_new
-

@@ -38,6 +38,13 @@ class SyntheticDataset:
 
 @dataclass(frozen=True)
 class Problem:
+    """A parameter manifest with its loss and analytic gradient.
+
+    grad returns arrays the caller owns: fresh on every call, writable, and
+    sharing no memory with the params, the dataset or each other. The runner
+    squares them in place once a step has used them.
+    """
+
     name: str
     param_specs: Tuple[ParamSpec, ...]
     loss: Callable[[Params], float]

@@ -33,6 +33,11 @@ from .problems import build_problem, initial_params
 
 TRACE_HEADER = ("step", "loss", "grad_rms", "update_rms", "lr")
 
+# glibc's default mmap threshold: a freed block at least this large goes back
+# to the kernel, and its pages fault in again when it is reallocated. Smaller
+# blocks are reused from the heap's bins, where recycling only adds checks.
+RECYCLE_BYTES = 128 * 1024
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -108,6 +113,10 @@ def run(config: RunConfig) -> RunResult:
         name: make_state(config.optimizer, dims, config.opt)
         for name, dims in problem.param_specs
     }
+    # the arrays the last step retired, kept for the parameters whose arrays
+    # glibc hands back to the kernel when freed: step_param writes into them,
+    # so a warm step reuses their pages instead of faulting in fresh ones
+    spares = {name: [] if p.nbytes >= RECYCLE_BYTES else None for name, p in params.items()}
 
     n = config.steps
     loss_rec = np.empty(n)
@@ -129,17 +138,24 @@ def run(config: RunConfig) -> RunResult:
         count = 0
         for name, _ in problem.param_specs:
             g = grads[name]
+            spare = spares[name]
             try:
-                new_theta = step_param(params[name], g, states[name], config.opt)
+                new_theta = step_param(params[name], g, states[name], config.opt, spare)
             except ValueError as exc:
                 raise ValueError(f"parameter {name!r} at step {t}: {exc}") from exc
-            # the old theta is the run's own array: it becomes the squared update
+            # the old theta is the run's own array: it becomes the squared
+            # update, then a spare for the next step
             delta = np.subtract(new_theta, params[name], out=params[name])
             params[name] = new_theta
-            # np.sum(a) is np.add.reduce(a, axis=None) behind two Python frames
-            g_sq += float(np.add.reduce(np.square(g), axis=None))
+            # np.sum(a) is np.add.reduce(a, axis=None) behind two Python frames;
+            # the gradient is the run's own array too, so it is squared in place
+            g_sq += float(np.add.reduce(np.square(g, out=g), axis=None))
             u_sq += float(np.add.reduce(np.square(delta, out=delta), axis=None))
             count += g.size
+            if spare is not None:
+                spare.append(delta)
+        # free the gradients before the next loss and grad calls allocate theirs
+        del grads, g
         grad_rec[t - 1] = math.sqrt(g_sq / count)
         upd_rec[t - 1] = math.sqrt(u_sq / count)
         lr_rec[t - 1] = warmup_lr(t, config.opt)

@@ -2,14 +2,15 @@
 
 Everything is a 2-D float64 numpy array in C (row-major) order: a column
 vector is n x 1, a row vector is 1 x m, a scalar is 1 x 1. A logically 1-D
-parameter of n entries is stored as an n x 1 column. Operations are pure;
-repeated calls on identical inputs return bitwise-identical results.
+parameter of n entries is stored as an n x 1 column. Operations write no
+input; `rms` and `outer_quotient` write an `out` array only when given one.
+Repeated calls on identical inputs return bitwise-identical results.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -44,19 +45,24 @@ def col_sums(m: Matrix) -> Matrix:
     return np.add.reduce(m, axis=0, keepdims=True)
 
 
-def rms(m: Matrix) -> float:
-    """Root mean square of all entries; np.mean's own reduction, called directly."""
+def rms(m: Matrix, out: Optional[Matrix] = None) -> float:
+    """Root mean square of all entries; np.mean's own reduction, called directly.
+
+    The squares go into out when given (an array of m's shape), else into a
+    temporary.
+    """
     _check(m)
-    return math.sqrt(np.add.reduce(np.square(m), axis=None) / m.size)
+    return math.sqrt(np.add.reduce(np.square(m, out=out), axis=None) / m.size)
 
 
-def outer_quotient(r: Matrix, c: Matrix) -> Matrix:
+def outer_quotient(r: Matrix, c: Matrix, out: Optional[Matrix] = None) -> Matrix:
     """Rank-1 array of quotients from its factors: (n x 1, 1 x m) -> n x m, entry r_i * c_j.
 
     `factored_reconstruct` passes the numerators sqrt(sum(row)) / sqrt(row_i)
     and the reciprocal denominators 1 / sqrt(col_j), so entry (i, j) is the
     quotient sqrt(sum(row) / (row_i * col_j)); its callers check the values.
-    The n x m result is the only array it allocates.
+    The n x m result goes into out when given, else into the only array it
+    allocates.
     """
     _check(r, "r")
     _check(c, "c")
@@ -67,4 +73,4 @@ def outer_quotient(r: Matrix, c: Matrix) -> Matrix:
     # each entry is the single product r_i * c_j, the same value r @ c gives;
     # einsum, unlike the broadcast r * c, allocates no iteration buffer next
     # to its n x m result
-    return np.einsum("ik,kj->ij", r, c)
+    return np.einsum("ik,kj->ij", r, c, out=out)

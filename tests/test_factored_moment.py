@@ -140,7 +140,9 @@ def test_factored_update_twice_geometric():
     rng = np.random.Generator(np.random.PCG64(4))
     x = rand_nonneg(rng, 3, 5)
     beta, eps = 0.9, 1e-8
-    row, col = factored_update(*factored_update(*zero_factors(3, 5), x, beta, eps), x, beta, eps)
+    # x is scratch for factored_update, so each call gets its own copy
+    once = factored_update(*zero_factors(3, 5), x.copy(), beta, eps)
+    row, col = factored_update(*once, x.copy(), beta, eps)
     np.testing.assert_allclose(row, (1 - beta**2) * row_sums(x + eps), rtol=1e-12)
     np.testing.assert_allclose(col, (1 - beta**2) * col_sums(x + eps), rtol=1e-12)
 
@@ -245,7 +247,7 @@ def test_reconstruct_single_rank1_update_exact():
     w = rng.uniform(0.2, 1.5, size=(4, 1))
     h = rng.uniform(0.2, 1.5, size=(1, 6))
     x = w @ h
-    factors = factored_update(*zero_factors(4, 6), x, 0.99, 0.0)
+    factors = factored_update(*zero_factors(4, 6), x.copy(), 0.99, 0.0)
     np.testing.assert_allclose(
         factored_reconstruct(*factors), 1.0 / np.sqrt((1 - 0.99) * x), rtol=1e-13
     )
@@ -253,7 +255,7 @@ def test_reconstruct_single_rank1_update_exact():
     # constant matrices stay rank 1 even with the epsilon shift
     const = np.full((3, 2), 0.7)
     eps = 1e-3
-    factors = factored_update(*zero_factors(3, 2), const, 0.9, eps)
+    factors = factored_update(*zero_factors(3, 2), const.copy(), 0.9, eps)
     np.testing.assert_allclose(
         factored_reconstruct(*factors), 1.0 / np.sqrt(0.1 * (const + eps)), rtol=1e-13
     )
@@ -368,8 +370,8 @@ def test_full_matches_factored_on_scalars():
     full = np.zeros((1, 1))
     for _ in range(50):
         x = np.array([[float(rng.uniform(0, 3))]])
-        factors = factored_update(*factors, x, 0.99, 1e-10)
-        full = full_update(full, x, 0.99, 1e-10)
+        factors = factored_update(*factors, x.copy(), 0.99, 1e-10)
+        full = full_update(full, x.copy(), 0.99, 1e-10)
         assert abs(factors[1][0, 0] - full[0, 0]) <= 1e-15
         inv_root = factored_reconstruct(*factors)[0, 0]
         assert inv_root == 1.0 / math.sqrt(factors[1][0, 0])
@@ -417,12 +419,30 @@ def test_reconstruction_consistency():
 
 
 def test_update_is_functional_and_input_untouched():
+    # the accumulators are never written; x is scratch and holds the documented
+    # value on return: x + eps after factored_update, (1 - decay) * (x + eps)
+    # after full_update
     row, col = zero_factors(2, 2)
     full = np.zeros((2, 2))
-    x = np.array([[1.0, 2.0], [3.0, 4.0]])
-    snapshot = x.copy()
-    new_row, new_col = factored_update(row, col, x, 0.9, 0.0)
-    new_full = full_update(full, x, 0.9, 0.0)
+    snapshot = np.array([[1.0, 2.0], [3.0, 4.0]])
+    x = snapshot.copy()
+    new_row, new_col = factored_update(row, col, x, 0.9, 0.5)
+    np.testing.assert_array_equal(x, snapshot + 0.5)
+    x = snapshot.copy()
+    new_full = full_update(full, x, 0.9, 0.5)
+    np.testing.assert_array_equal(x, (1.0 - 0.9) * (snapshot + 0.5))
     assert new_row is not row and new_col is not col and new_full is not full
-    np.testing.assert_array_equal(x, snapshot)
     assert np.all(row == 0.0) and np.all(col == 0.0) and np.all(full == 0.0)
+
+
+def test_out_receives_the_result_bitwise():
+    rng = np.random.Generator(np.random.PCG64(10))
+    row, col = factored_update(*zero_factors(5, 7), rand_nonneg(rng, 5, 7), 0.9, 1e-12)
+    out = np.empty((5, 7))
+    assert factored_reconstruct(row, col, out=out) is out
+    np.testing.assert_array_equal(out, factored_reconstruct(row, col))
+    acc = rand_nonneg(rng, 5, 7)
+    x = rand_nonneg(rng, 5, 7)
+    out = np.empty((5, 7))
+    assert full_update(acc, x.copy(), 0.9, 1e-3, out=out) is out
+    np.testing.assert_array_equal(out, full_update(acc, x.copy(), 0.9, 1e-3))

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from came_opt.factored_moment import factored_reconstruct
 from came_opt.memory_model import MEMORY_OPTIMIZERS, state_elements
@@ -90,6 +92,17 @@ def test_infinite_clip_d_never_clips():
     # clip_d = inf is a valid config: clipping is off, and the update passes exactly
     u = np.array([[5.0, -3.0]])
     np.testing.assert_array_equal(clip_by_rms(u, OptimizerConfig(clip_d=math.inf).clip_d), u)
+
+
+def test_clip_into_out_is_bitwise_and_leaves_u():
+    rng = np.random.Generator(np.random.PCG64(22))
+    for scale in (0.01, 50.0):  # below and above the threshold
+        u = rng.standard_normal((6, 7)) * scale
+        before = u.copy()
+        out = np.empty_like(u)
+        assert clip_by_rms(u, 1.0, out) is out
+        np.testing.assert_array_equal(out, clip_by_rms(u, 1.0))
+        np.testing.assert_array_equal(u, before)
 
 
 def test_clip_zero_matrix():
@@ -493,6 +506,55 @@ def test_step_transient_memory(variant, dims):
     assert peak <= (full_arrays + 0.03) * nm * 8
 
 
+def run_with_spares(variant, dims, cfg, seed, steps=3):
+    """A state warmed by `steps` steps that pass a spare list as the runner does.
+
+    After each step the old theta joins the list, next to the arrays the step
+    retired. Returns (state, theta, the next gradient, spare).
+    """
+    shape = storage_shape(dims)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    state = make_state(variant, dims, cfg)
+    theta = rng.standard_normal(shape)
+    spare = []
+    for _ in range(steps):
+        new = step_param(theta, rng.standard_normal(shape), state, cfg, spare)
+        spare.append(theta)
+        theta = new
+    return state, theta, rng.standard_normal(shape), spare
+
+
+# Peak of one warm step that reuses its spares, in n x m float64 arrays, per
+# variant: (256 x 256 matrix, 65536-entry column). The runner's old theta and
+# the retired momentum (and the full accumulators of adam or a 1-D parameter)
+# supply all but at most one of the arrays the step writes.
+STEADY_STEP_ARRAYS = {
+    "adafactor": (0, 0),
+    "came": (1, 0),
+    "raw_confidence": (1, 1),
+    "adam": (1, 1),
+}
+
+
+@pytest.mark.parametrize("dims", [(256, 256), (65536,)], ids=["matrix", "column"])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_step_steady_state_memory(variant, dims):
+    # tracemalloc peak of one step after three that passed a spare list, counted
+    # in n x m float64 arrays; the extra 0.03 covers factor vectors, scalars
+    # and headers
+    shape = storage_shape(dims)
+    nm = shape[0] * shape[1]
+    cfg = OptimizerConfig()
+    state, theta, g, spare = run_with_spares(variant, dims, cfg, seed=28)
+    tracemalloc.start()
+    try:
+        step_param(theta, g, state, cfg, spare)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (STEADY_STEP_ARRAYS[variant][len(dims) == 1] + 0.03) * nm * 8
+
+
 # ---------------------------------------------------------------------------
 # non-finite gradients, aliasing, and bitwise agreement with a plain transcription
 # ---------------------------------------------------------------------------
@@ -531,6 +593,39 @@ def test_non_finite_gradient_rejected_before_any_state_change(variant, dims, bad
     assert all(now is was for now, was in zip(state_arrays(state), held))
 
 
+@st.composite
+def poisoned_steps(draw):
+    """A variant, a matrix or column shape, a gradient with NaN or +-inf planted
+    at random entries, and whether the step gets a spare list."""
+    variant = draw(st.sampled_from(VARIANTS))
+    if draw(st.booleans()):
+        dims = (draw(st.integers(1, 9)), draw(st.integers(1, 9)))
+    else:
+        dims = (draw(st.integers(1, 40)),)
+    size = math.prod(dims)
+    spots = draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=min(size, 5)))
+    values = [draw(st.sampled_from([math.nan, math.inf, -math.inf])) for _ in spots]
+    return variant, dims, dict(zip(spots, values)), draw(st.booleans()), draw(st.integers(0, 2**32))
+
+
+@settings(max_examples=150, deadline=None)
+@given(poisoned_steps())
+def test_poisoned_gradient_changes_nothing(case):
+    variant, dims, planted, with_spare, seed = case
+    cfg = OptimizerConfig()
+    state, theta, g, spare = run_with_spares(variant, dims, cfg, seed=seed)
+    for index, value in planted.items():
+        g.flat[index] = value
+    held = state_arrays(state)
+    before = [a.tobytes() for a in [theta, g] + held]
+    t_before = state.t
+    with pytest.raises(ValueError, match="non-finite"):
+        step_param(theta, g, state, cfg, spare if with_spare else None)
+    assert state.t == t_before
+    assert all(now is was for now, was in zip(state_arrays(state), held))
+    assert [a.tobytes() for a in [theta, g] + state_arrays(state)] == before
+
+
 @pytest.mark.parametrize("residual_vs_prev", [False, True])
 @pytest.mark.parametrize("dims", [(32, 48), (40,)], ids=["matrix", "column"])
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -545,6 +640,100 @@ def test_step_writes_no_input_and_returns_fresh_arrays(variant, dims, residual_v
     for fresh in [theta_new] + state_arrays(state):
         assert not any(np.shares_memory(fresh, old) for old in inputs)
     assert not np.shares_memory(theta_new, state.m)
+
+    # the same with a spare list as the runner keeps it: the new theta and the
+    # committed state come from the spares, never from the step's inputs
+    state, theta, g = run_with_spares(variant, dims, cfg, seed=30)[:3]
+    spare = run_with_spares(variant, dims, cfg, seed=31)[3]
+    inputs = [theta, g] + state_arrays(state)
+    snapshots = [a.copy() for a in inputs]
+    theta_new = step_param(theta, g, state, cfg, spare)
+    for array, before in zip(inputs, snapshots):
+        assert np.array_equal(array, before)
+    fresh = [theta_new] + state_arrays(state)
+    for i, array in enumerate(fresh):
+        assert not any(np.shares_memory(array, old) for old in inputs)
+        assert not any(np.shares_memory(array, other) for other in fresh[:i])
+    # the retired momentum (and full accumulators) went back on the list
+    assert all(any(old is a for a in spare) for old in inputs[2:] if old.shape == theta.shape)
+
+
+@pytest.mark.parametrize("dims", [(6, 5), (7,)], ids=["matrix", "column"])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_step_rejects_a_bad_spare_before_any_change(variant, dims):
+    shape = storage_shape(dims)
+    cfg = OptimizerConfig()
+    state, theta, g, _ = run_with_spares(variant, dims, cfg, seed=33)
+    if state.v_row is not None:
+        # a factor that lives inside a spare-shaped buffer
+        buffer = np.zeros(math.prod(shape) + shape[0])
+        buffer[-shape[0]:] = state.v_row[:, 0]
+        state.v_row = buffer[-shape[0]:].reshape(shape[0], 1)
+        inside_factor = buffer[shape[0]:].reshape(shape)
+    else:
+        inside_factor = state.m  # no factors: the momentum itself
+    wide = np.zeros((shape[0], shape[1] + 1))
+    bad = [
+        ("shape", np.zeros((shape[0] + 1, shape[1])), "C-contiguous float64"),
+        ("dtype", np.zeros(shape, dtype=np.float32), "C-contiguous float64"),
+        ("layout", wide[:, 1:], "C-contiguous float64"),
+        ("theta", theta, "overlap"),
+        ("gradient view", g[::-1][::-1], "overlap"),
+        ("factor or momentum", inside_factor, "overlap"),
+        ("another spare", None, "overlap"),
+        ("a view of another spare", None, "overlap"),
+    ]
+    bad += [(name, getattr(state, name), "overlap") for name in state_shapes(variant, dims)]
+    held = state_arrays(state)
+    snapshots = [a.copy() for a in [theta, g] + held]
+    t_before = state.t
+    for case, array, reason in bad:
+        if array is not None and reason == "overlap" and array.shape != shape:
+            continue  # a factor vector fails the shape check; covered above
+        first = np.zeros(shape)
+        if case == "another spare":
+            array = first
+        elif case == "a view of another spare":
+            array = first[::-1][::-1]
+        spare = [first, array]
+        with pytest.raises(ValueError, match=f"spare.*{reason}"):
+            step_param(theta, g, state, cfg, spare)
+        assert len(spare) == 2 and spare[1] is array, case
+        assert state.t == t_before, case
+        assert all(now is was for now, was in zip(state_arrays(state), held)), case
+        for now, before in zip([theta, g] + state_arrays(state), snapshots):
+            assert np.array_equal(now, before), case
+
+    # a spare that owns the memory a view among the inputs reads
+    owner = np.zeros(shape)
+    g_view = owner[::-1][::-1]
+    g_view[...] = g
+    with pytest.raises(ValueError, match="spare.*overlap"):
+        step_param(theta, g_view, state, cfg, [owner])
+    assert state.t == t_before and np.array_equal(g_view, g)
+
+
+@pytest.mark.parametrize("residual_vs_prev", [False, True])
+@pytest.mark.parametrize("dims", [(1, 1), (5,), (7, 3), (64, 1), (32, 48)])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_spare_path_is_bitwise_the_allocating_path(variant, dims, residual_vs_prev):
+    shape = storage_shape(dims)
+    cfg = OptimizerConfig(came_residual_vs_prev=residual_vs_prev, warmup_steps=3)
+    rng = np.random.Generator(np.random.PCG64(34))
+    plain = make_state(variant, dims, cfg)
+    pooled = make_state(variant, dims, cfg)
+    theta = theta_pooled = rng.standard_normal(shape)
+    spare = []
+    for _ in range(20):
+        g = rng.standard_normal(shape) * rng.uniform(0.01, 10.0)
+        theta = step_param(theta, g, plain, cfg)
+        new = step_param(theta_pooled, g, pooled, cfg, spare)
+        spare.append(theta_pooled)
+        theta_pooled = new
+        assert theta.tobytes() == theta_pooled.tobytes()
+        for a, b in zip(state_arrays(plain), state_arrays(pooled)):
+            assert a.tobytes() == b.tobytes()
+        assert plain.t == pooled.t
 
 
 def _ref_fold(acc, x, factor_space=True):

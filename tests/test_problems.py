@@ -6,6 +6,7 @@ import pytest
 
 from came_opt.optimizers import OptimizerConfig, make_state, step_param
 from came_opt.problems import (
+    PROBLEM_BUILDERS,
     Problem,
     SyntheticDataset,
     build_problem,
@@ -324,3 +325,21 @@ def test_build_problem_registry():
         build_problem("nope")
     with pytest.raises(ValueError, match="bad arguments"):
         build_problem("quadratic", {"wrong_kwarg": 1})
+
+
+@pytest.mark.parametrize("name", sorted(PROBLEM_BUILDERS))
+def test_gradients_are_owned_by_the_caller(name):
+    # the runner squares each gradient in place, so grad must return fresh
+    # writable arrays that share no memory with the params, the dataset, each
+    # other or an earlier call's gradients
+    problem = build_problem(name)
+    params = initial_params(problem, 3)
+    first = problem.grad(params)
+    second = problem.grad(params)
+    owned_elsewhere = list(params.values())
+    if problem.dataset is not None:
+        owned_elsewhere += [problem.dataset.inputs, problem.dataset.targets]
+    grads = list(first.values()) + list(second.values())
+    for i, g in enumerate(grads):
+        assert g.flags.writeable
+        assert not any(np.shares_memory(g, other) for other in owned_elsewhere + grads[:i])

@@ -151,6 +151,35 @@ def test_run_rms_columns_match_a_plain_transcription_bitwise(variant):
         assert result.trace.update_rms[t] == math.sqrt(u_sq / count)
 
 
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_recycling_leaves_the_trace_bitwise(monkeypatch, variant):
+    # every parameter recycles its retired arrays, or none does: same bits
+    config = RunConfig(problem="mlp1", optimizer=variant, steps=8, seed=3)
+    monkeypatch.setattr(runner_module, "RECYCLE_BYTES", 0)
+    pooled = run(config)
+    monkeypatch.setattr(runner_module, "RECYCLE_BYTES", math.inf)
+    plain = run(config)
+    assert pooled.final_loss == plain.final_loss
+    for field in ("loss", "grad_rms", "update_rms", "lr"):
+        assert getattr(pooled.trace, field).tobytes() == getattr(plain.trace, field).tobytes()
+
+
+def test_run_recycles_only_arrays_of_at_least_128_kib(monkeypatch):
+    spare_sizes = []
+
+    def spy(theta, g, state, cfg, spare=None):
+        spare_sizes.append(None if spare is None else len(spare))
+        return step_param(theta, g, state, cfg, spare)
+
+    monkeypatch.setattr(runner_module, "step_param", spy)
+    run(quad_config(problem_args={"dim": 16384}, steps=3))
+    # adam: the old theta, momentum and second moment come back after each step
+    assert spare_sizes == [0, 3, 3]
+    spare_sizes.clear()
+    run(quad_config(problem_args={"dim": 16383}, steps=3))
+    assert spare_sizes == [None, None, None]
+
+
 def test_run_is_deterministic_in_memory():
     a = run(quad_config(steps=40))
     b = run(quad_config(steps=40))

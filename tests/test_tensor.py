@@ -137,3 +137,17 @@ def test_operations_are_pure_and_deterministic():
             assert x == y
         else:
             assert np.array_equal(x, y)
+
+
+def test_out_arrays_receive_bitwise_results():
+    # rms squares into out, outer_quotient writes its product there; the values
+    # are those of the allocating calls
+    rng = np.random.Generator(np.random.PCG64(15))
+    a = rng.standard_normal((9, 11))
+    out = np.empty((9, 11))
+    assert rms(a, out) == rms(a)
+    np.testing.assert_array_equal(out, np.square(a))
+    r = rng.uniform(0.1, 2.0, size=(9, 1))
+    c = rng.uniform(0.1, 2.0, size=(1, 11))
+    assert outer_quotient(r, c, out) is out
+    np.testing.assert_array_equal(out, outer_quotient(r, c))
