@@ -565,22 +565,12 @@ def state_arrays(state):
     return [getattr(state, name) for name in state_shapes(state.variant, state.dims)]
 
 
-def warm_state(variant, dims, cfg, seed, steps=3):
-    shape = storage_shape(dims)
-    rng = np.random.Generator(np.random.PCG64(seed))
-    state = make_state(variant, dims, cfg)
-    theta = rng.standard_normal(shape)
-    for _ in range(steps):
-        theta = step_param(theta, rng.standard_normal(shape), state, cfg)
-    return state, theta, rng.standard_normal(shape)
-
-
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 @pytest.mark.parametrize("dims", [(6, 5), (7,)], ids=["matrix", "column"])
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_non_finite_gradient_rejected_before_any_state_change(variant, dims, bad):
     cfg = OptimizerConfig()
-    state, theta, g = warm_state(variant, dims, cfg, seed=29)
+    state, theta, g = run_with_spares(variant, dims, cfg, seed=29)[:3]
     g[1, 0] = bad
     t_before = state.t
     held = state_arrays(state)
@@ -631,7 +621,7 @@ def test_poisoned_gradient_changes_nothing(case):
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_step_writes_no_input_and_returns_fresh_arrays(variant, dims, residual_vs_prev):
     cfg = OptimizerConfig(came_residual_vs_prev=residual_vs_prev)
-    state, theta, g = warm_state(variant, dims, cfg, seed=30)
+    state, theta, g = run_with_spares(variant, dims, cfg, seed=30)[:3]
     inputs = [theta, g] + state_arrays(state)
     snapshots = [a.copy() for a in inputs]
     theta_new = step_param(theta, g, state, cfg)
