@@ -10,10 +10,10 @@ squared-gradient accumulator and the instability accumulator, which differ
 only in decay and epsilon. An accumulator is plain arrays: a factored one
 is an n x 1 row factor and a 1 x m column factor, an unfactored one is a
 single array. The update functions return new accumulator arrays and never
-write the old ones; they take the n x m input x as scratch and add epsilon
-to it in place (`full_update` also scales it), so the step folds its own
-g^2 or squared residual without a copy. `full_update` and
-`factored_reconstruct` write their n x m result into `out` when given one.
+write the old ones. `factored_update` folds the squares of its input from
+read-only sums, so the n x m squares are never written; `full_update` takes
+already-squared scratch and shifts and scales it in place. `full_update`
+and `factored_reconstruct` write their n x m result into `out` when given one.
 """
 
 from __future__ import annotations
@@ -72,23 +72,32 @@ def generalized_kl(v: Matrix, a: Matrix) -> float:
 def factored_update(
     row: Matrix, col: Matrix, x: Matrix, decay: float, epsilon: float
 ) -> Tuple[Matrix, Matrix]:
-    """Fold a nonnegative n x m matrix into the n x 1 and 1 x m factor averages.
+    """Fold x^2 + epsilon, for any real n x m x, into the n x 1 and 1 x m factor averages.
 
-    Returns the new (row, col); row and col are not written. x is scratch:
-    epsilon is added to every entry of it in place before the row and column
-    sums are taken, so on return x holds x + epsilon. The shift keeps both
-    factors strictly positive whenever epsilon > 0.
+    Returns the new (row, col): decay * row + (1 - decay) * (sum_j x_ij^2 +
+    m epsilon), and col likewise with n epsilon; row, col and x are not
+    written. Each sum of squares is one read-only einsum pass in numpy's own
+    loops, never BLAS, whose summation order follows its thread count. A NaN
+    or infinite entry, or a square that overflows, reaches the factors for
+    the caller's finiteness check. epsilon > 0 keeps both factors positive.
     """
     n, m = x.shape
     if row.shape != (n, 1) or col.shape != (1, m):
         raise ValueError(f"shape mismatch: factors {row.shape} and {col.shape}, input {x.shape}")
-    # np.any(x < 0.0) without a bool mask: fmin skips NaN, inf seeds an empty x
-    if np.fmin.reduce(x, axis=None, initial=np.inf) < 0.0:
-        raise ValueError("factored accumulators only accept nonnegative input")
-    x += epsilon
-    row = decay * row + (1.0 - decay) * row_sums(x)
-    col = decay * col + (1.0 - decay) * col_sums(x)
-    return row, col
+    # the sums are scaled in place on einsum's 1-D output and added into the
+    # fresh decay * row: few numpy calls for small factors, few temporaries
+    # for the step's memory peak, and new factors that own their data
+    row_sq = np.einsum("ij,ij->i", x, x)
+    row_sq += m * epsilon
+    row_sq *= 1.0 - decay
+    new_row = decay * row
+    new_row += row_sq.reshape(n, 1)
+    col_sq = np.einsum("ij,ij->j", x, x)
+    col_sq += n * epsilon
+    col_sq *= 1.0 - decay
+    new_col = decay * col
+    new_col += col_sq
+    return new_row, new_col
 
 
 def factored_reconstruct(row: Matrix, col: Matrix, out: Optional[Matrix] = None) -> Matrix:
@@ -130,6 +139,7 @@ def full_update(
 ) -> Matrix:
     """Entrywise counterpart of factored_update: decay * acc + (1 - decay) * (x + epsilon).
 
+    x is the already-squared input, nonnegative (a negative entry raises).
     acc is not written. x is scratch and holds (1 - decay) * (x + epsilon) on
     return. The result goes into out when given (an array of acc's shape that
     overlaps neither acc nor x), else into a fresh array.

@@ -27,14 +27,15 @@ adds the old theta to it, so a warm large step allocates at most one n x m
 array, and glibc stops handing pages back to the kernel only to fault them
 in again. Only the new theta and the new state's arrays outlive a step.
 
-A factored accumulator (second moment, came's instability) divides by the
-square root of its rank-1 surrogate in factor space: the step multiplies by
-the inverse root sqrt(sum(row)) / sqrt(row_i) * (1 / sqrt(col_j)) that
-`factored_reconstruct` builds from n + m square roots, so the surrogate is
-never formed. That differs from dividing by sqrt(row_i * col_j / sum(row))
-by a few ulp. On the 1-D path and for adam every expression keeps its
-evaluation order, so those trajectories are bitwise those of the plain
-formulas with one fresh array per operation, with or without spares.
+A factored accumulator (second moment, came's instability) folds the squares
+of g or of the raw residual u_hat - m from read-only einsum sums, never
+writing them, and divides in factor space: the step multiplies by the
+inverse root sqrt(sum(row)) / sqrt(row_i) * (1 / sqrt(col_j)) that
+`factored_reconstruct` builds, so the surrogate is never formed. The RMS
+clip sums with einsum too and divides in place. No sum uses BLAS, so no
+trajectory depends on the BLAS thread count. The factored path is a few ulp
+per step from the plain formulas and the 1-D path differs only through the
+clip's RMS sum; adam is bitwise the plain formulas, with or without spares.
 """
 
 from __future__ import annotations
@@ -57,6 +58,12 @@ class InvalidConfig(ValueError):
     def __init__(self, field_name: str, message: str):
         super().__init__(f"{field_name}: {message}")
         self.field = field_name
+
+
+def require_integer(field_name: str, value, low: int) -> None:
+    """Raise InvalidConfig(field_name) unless value is a whole number >= low (not NaN or inf)."""
+    if not (low <= value < math.inf and value == int(value)):
+        raise InvalidConfig(field_name, f"must be an integer >= {low}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -100,9 +107,7 @@ class OptimizerConfig:
                 raise InvalidConfig(name, f"must be nonnegative and finite, got {value}")
         if not self.clip_d > 0.0:
             raise InvalidConfig("clip_d", f"must be positive, got {self.clip_d}")
-        warmup = self.warmup_steps
-        if not (0 <= warmup < math.inf and warmup == int(warmup)):
-            raise InvalidConfig("warmup_steps", f"must be a nonnegative integer, got {warmup}")
+        require_integer("warmup_steps", self.warmup_steps, 0)
 
 
 def state_shapes(variant: str, dims: Tuple[int, ...]) -> Dict[str, Tuple[int, int]]:
@@ -167,12 +172,12 @@ def make_state(variant: str, dims: Tuple[int, ...], cfg: OptimizerConfig) -> Opt
 def clip_by_rms(u: Matrix, d: float, out: Optional[Matrix] = None) -> Matrix:
     """Scale u down so its RMS never exceeds d: u / max(1, rms(u)/d).
 
-    With out (an array of u's shape), rms squares u into it and the result
-    overwrites the squares, so the clip allocates no n x m array.
+    The result goes into out when given (an array of u's shape, or u itself
+    to clip in place), else into a fresh array; rms only reads u.
     """
     if d <= 0.0:
         raise ValueError(f"clip threshold must be positive, got {d}")
-    return np.divide(u, max(1.0, rms(u, out) / d), out=out)
+    return np.divide(u, max(1.0, rms(u) / d), out=out)
 
 
 def warmup_lr(t: int, cfg: OptimizerConfig) -> float:
@@ -242,10 +247,7 @@ def step_param(
     balanced, so a warm step allocates at most one large array. Every
     candidate value is computed and checked before the state is touched, so
     a step that raises (shape mismatch, non-finite gradient, nonpositive
-    denominator) leaves the state as it was; it may have used up spares. A
-    factored accumulator is applied through its factor-space inverse root, a
-    few ulp from the plain sqrt(V) form; the 1-D path and adam are bitwise
-    the plain formulas.
+    denominator) leaves the state as it was; it may have used up spares.
     """
     shape = state.m.shape
     if theta.shape != shape or g.shape != shape:
@@ -284,23 +286,23 @@ def step_param(
         return theta_new
 
     # adafactor pipeline: fold g^2, normalize by sqrt(v), clip, momentum.
-    # x holds g^2, then the unclipped update, then the new momentum
+    # the factored fold squares g itself; u_hat holds the inverse root (or
+    # g^2, then sqrt(v), on the 1-D path), then the update, clipped in place
     v, v_row, v_col = state.v, state.v_row, state.v_col
-    x = np.square(g, out=_reuse(spare))
     if v is None:  # factored
-        v_row, v_col = factored_update(v_row, v_col, x, cfg.beta2, cfg.eps1)
+        v_row, v_col = factored_update(v_row, v_col, g, cfg.beta2, cfg.eps1)
         _require_finite(v_row, v_col)
-        # g / sqrt(V) as g * (1 / sqrt(V)), the inverse root built in x
-        factored_reconstruct(v_row, v_col, out=x)
-        np.multiply(g, x, out=x)
+        # g / sqrt(V) as g * (1 / sqrt(V))
+        u_hat = factored_reconstruct(v_row, v_col, out=_reuse(spare))
+        np.multiply(g, u_hat, out=u_hat)
     else:
-        v = full_update(v, x, cfg.beta2, cfg.eps1, out=_reuse(spare))
+        u_hat = np.square(g, out=_reuse(spare))
+        v = full_update(v, u_hat, cfg.beta2, cfg.eps1, out=_reuse(spare))
         _require_finite(v)
-        np.sqrt(_require_positive(v, "second-moment surrogate"), out=x)
-        np.divide(g, x, out=x)
-    u_hat = clip_by_rms(x, cfg.clip_d, out=_reuse(spare))
-    m_new = np.multiply(cfg.beta1, state.m, out=x)
-    del x
+        np.sqrt(_require_positive(v, "second-moment surrogate"), out=u_hat)
+        np.divide(g, u_hat, out=u_hat)
+    clip_by_rms(u_hat, cfg.clip_d, out=u_hat)
+    m_new = np.multiply(cfg.beta1, state.m, out=_reuse(spare))
 
     s, s_row, s_col = state.s, state.s_row, state.s_col
     if state.variant == "adafactor":
@@ -313,12 +315,12 @@ def step_param(
         if state.variant == "came":
             m_ref = state.m if cfg.came_residual_vs_prev else m_new
             np.subtract(u_hat, m_ref, out=buf)
-            np.square(buf, out=buf)
             if s is None:  # factored: m / sqrt(S) as m * (1 / sqrt(S)), in u_hat's array
                 s_row, s_col = factored_update(s_row, s_col, buf, cfg.beta3, cfg.eps2)
                 buf = factored_reconstruct(s_row, s_col, out=u_hat)
                 np.multiply(m_new, buf, out=buf)
-            else:  # the new s in u_hat's array, its root in the residual's
+            else:  # the new s in u_hat's array, its root in the squared residual's
+                np.square(buf, out=buf)
                 s = full_update(s, buf, cfg.beta3, cfg.eps2, out=u_hat)
                 np.sqrt(_require_positive(s, "instability surrogate"), out=buf)
                 np.divide(m_new, buf, out=buf)

@@ -18,6 +18,7 @@ from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
+from .optimizers import require_integer
 from .tensor import Matrix, storage_shape
 
 Params = Dict[str, Matrix]
@@ -25,7 +26,11 @@ ParamSpec = Tuple[str, Tuple[int, ...]]
 
 
 def rng_from_seed(seed: int) -> np.random.Generator:
-    """The package-wide seed-to-stream contract: PCG64 under numpy Generator."""
+    """The package-wide seed-to-stream contract: PCG64 under numpy Generator.
+
+    A seed that is not a nonnegative whole number raises InvalidConfig("seed").
+    """
+    require_integer("seed", seed, 0)
     return np.random.Generator(np.random.PCG64(int(seed)))
 
 

@@ -25,6 +25,7 @@ from .optimizers import (
     InvalidConfig,
     OptimizerConfig,
     make_state,
+    require_integer,
     state_shapes,
     step_param,
     warmup_lr,
@@ -50,8 +51,9 @@ class RunConfig:
     threshold: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if not self.steps >= 1:
-            raise InvalidConfig("steps", f"must be >= 1, got {self.steps}")
+        # a fractional seed would train as its truncation yet be recorded as given
+        require_integer("steps", self.steps, 1)
+        require_integer("seed", self.seed, 0)
         if self.optimizer not in VARIANTS:
             raise InvalidConfig(
                 "optimizer", f"unknown optimizer {self.optimizer!r}, expected one of {VARIANTS}"

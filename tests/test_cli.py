@@ -124,6 +124,41 @@ def test_non_finite_option_names_field_before_running(tmp_path, capsys, flag, va
     assert not os.path.exists(out + "_trace.csv")
 
 
+@pytest.mark.parametrize(
+    "argv,field",
+    [
+        (("--seed", "-1"), "seed"),
+        (("--problem", "mlp1:seed=1.9"), "seed"),
+        (("--problem", "mlp1:seed=-1"), "seed"),
+    ],
+)
+def test_bad_seed_names_field(tmp_path, capsys, argv, field):
+    out = str(tmp_path / "x")
+    code, _, err = run_cli(
+        capsys, "run", "--problem", "quadratic", "--steps", "3", "--out", out, *argv
+    )
+    assert code == 1
+    assert read_error(err)["field"] == field
+    assert not os.path.exists(out + "_trace.csv")
+
+
+@pytest.mark.parametrize("key,value", [("seed", "1.9"), ("steps", "2.5"), ("steps", "inf")])
+def test_non_integer_seed_or_steps_names_field(tmp_path, capsys, key, value):
+    # a flag's int parser rejects the value naming the flag; a config file names the key
+    out = str(tmp_path / "x")
+    with pytest.raises(SystemExit):
+        main(["run", "--problem", "quadratic", "--out", out, f"--{key}", value])
+    assert f"argument --{key}: invalid int value" in capsys.readouterr().err
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    code, _, err = run_cli(
+        capsys, "run", "--config", str(cfg), "--problem", "quadratic", "--out", out
+    )
+    assert code == 1
+    assert read_error(err)["field"] == key
+    assert not os.path.exists(out + "_trace.csv")
+
+
 def test_zero_steps_names_field(tmp_path, capsys):
     code, _, err = run_cli(
         capsys,

@@ -124,9 +124,10 @@ def test_nmf_rank1_is_kl_optimal_under_perturbation():
 
 
 def test_factored_update_fresh_state_by_hand():
+    # x is folded as its square [[1, 4], [9, 16]]
     row, col = factored_update(*zero_factors(2, 2), np.array([[1.0, 2.0], [3.0, 4.0]]), 0.999, 0.0)
-    np.testing.assert_allclose(row, np.array([[0.003], [0.007]]), rtol=1e-12)
-    np.testing.assert_allclose(col, np.array([[0.004, 0.006]]), rtol=1e-12)
+    np.testing.assert_allclose(row, np.array([[0.005], [0.025]]), rtol=1e-12)
+    np.testing.assert_allclose(col, np.array([[0.010, 0.020]]), rtol=1e-12)
 
 
 def test_factored_update_epsilon_floor():
@@ -138,13 +139,12 @@ def test_factored_update_epsilon_floor():
 
 def test_factored_update_twice_geometric():
     rng = np.random.Generator(np.random.PCG64(4))
-    x = rand_nonneg(rng, 3, 5)
+    x = rng.standard_normal((3, 5))
     beta, eps = 0.9, 1e-8
-    # x is scratch for factored_update, so each call gets its own copy
-    once = factored_update(*zero_factors(3, 5), x.copy(), beta, eps)
-    row, col = factored_update(*once, x.copy(), beta, eps)
-    np.testing.assert_allclose(row, (1 - beta**2) * row_sums(x + eps), rtol=1e-12)
-    np.testing.assert_allclose(col, (1 - beta**2) * col_sums(x + eps), rtol=1e-12)
+    once = factored_update(*zero_factors(3, 5), x, beta, eps)
+    row, col = factored_update(*once, x, beta, eps)
+    np.testing.assert_allclose(row, (1 - beta**2) * row_sums(x * x + eps), rtol=1e-12)
+    np.testing.assert_allclose(col, (1 - beta**2) * col_sums(x * x + eps), rtol=1e-12)
 
 
 def test_factored_update_validates():
@@ -153,8 +153,11 @@ def test_factored_update_validates():
         factored_update(*factors, np.zeros((2, 3)), 0.9, 0.0)
     with pytest.raises(ValueError, match="shape mismatch"):
         factored_update(np.zeros((2, 2)), np.zeros((1, 2)), np.zeros((2, 2)), 0.9, 0.0)
-    with pytest.raises(ValueError, match="nonnegative"):
-        factored_update(*factors, np.array([[1.0, -1.0], [0.0, 0.0]]), 0.9, 0.0)
+    # any real input is valid: a negative entry is folded as its square
+    x = np.array([[1.0, -1.0], [0.0, -3.0]])
+    for got, want in zip(factored_update(*factors, x, 0.9, 0.0),
+                         factored_update(*factors, np.abs(x), 0.9, 0.0)):
+        assert got.tobytes() == want.tobytes()
 
 
 # each nonnegativity check must reject exactly the inputs np.any(x < 0.0) flags
@@ -192,18 +195,30 @@ def rejects(fn, *args, match):
     return False
 
 
+def same_bits_or_both_nan(a, b):
+    # a NaN keeps its operand's sign bit through x * x, so NaNs compare by position
+    nan = np.isnan(a)
+    return np.array_equal(nan, np.isnan(b)) and a[~nan].tobytes() == b[~nan].tobytes()
+
+
 @pytest.mark.parametrize("case", sorted(CHECK_INPUTS))
 def test_nonnegativity_checks_reject_exactly_what_the_mask_rejected(case):
+    # full_update takes squares and checks them; factored_update squares its
+    # own input, so it has no check: x and -x fold alike, and a NaN or +-inf
+    # entry reaches the factors, where the step's finiteness check rejects it
     x = CHECK_INPUTS[case]
-    expected = bool(np.any(x < 0.0))
     n, m = x.shape
     with np.errstate(invalid="ignore"):
-        got_factored = rejects(
-            factored_update, *zero_factors(n, m), x, 0.9, 0.0, match="nonnegative"
-        )
         got_full = rejects(full_update, np.zeros((n, m)), x, 0.9, 0.0, match="nonnegative")
-    assert got_factored == expected
-    assert got_full == expected
+        factors = factored_update(*zero_factors(n, m), x, 0.9, 0.0)
+        negated = factored_update(*zero_factors(n, m), -x, 0.9, 0.0)
+    assert got_full == bool(np.any(x < 0.0))
+    for got, want in zip(factors, negated):
+        assert same_bits_or_both_nan(got, want)
+    finite = bool(np.all(np.isfinite(x)))
+    assert all(bool(np.all(np.isfinite(f))) == finite for f in factors)
+    if x.size:  # a parameter has at least one entry; an empty row factor has no max
+        assert (outcome(lambda: _require_finite(*factors)) is None) == finite
 
 
 def outcome(check):
@@ -246,18 +261,18 @@ def test_reconstruct_single_rank1_update_exact():
     rng = np.random.Generator(np.random.PCG64(5))
     w = rng.uniform(0.2, 1.5, size=(4, 1))
     h = rng.uniform(0.2, 1.5, size=(1, 6))
-    x = w @ h
-    factors = factored_update(*zero_factors(4, 6), x.copy(), 0.99, 0.0)
+    x = w @ h  # its square, the folded matrix, has rank 1 too
+    factors = factored_update(*zero_factors(4, 6), x, 0.99, 0.0)
     np.testing.assert_allclose(
-        factored_reconstruct(*factors), 1.0 / np.sqrt((1 - 0.99) * x), rtol=1e-13
+        factored_reconstruct(*factors), 1.0 / np.sqrt((1 - 0.99) * (x * x)), rtol=1e-13
     )
 
     # constant matrices stay rank 1 even with the epsilon shift
     const = np.full((3, 2), 0.7)
     eps = 1e-3
-    factors = factored_update(*zero_factors(3, 2), const.copy(), 0.9, eps)
+    factors = factored_update(*zero_factors(3, 2), const, 0.9, eps)
     np.testing.assert_allclose(
-        factored_reconstruct(*factors), 1.0 / np.sqrt(0.1 * (const + eps)), rtol=1e-13
+        factored_reconstruct(*factors), 1.0 / np.sqrt(0.1 * (const * const + eps)), rtol=1e-13
     )
 
 
@@ -369,9 +384,10 @@ def test_full_matches_factored_on_scalars():
     factors = zero_factors(1, 1)
     full = np.zeros((1, 1))
     for _ in range(50):
-        x = np.array([[float(rng.uniform(0, 3))]])
-        factors = factored_update(*factors, x.copy(), 0.99, 1e-10)
-        full = full_update(full, x.copy(), 0.99, 1e-10)
+        x = np.array([[float(rng.uniform(-2, 2))]])
+        # the factored fold squares x; the full one takes the square as scratch
+        factors = factored_update(*factors, x, 0.99, 1e-10)
+        full = full_update(full, np.square(x), 0.99, 1e-10)
         assert abs(factors[1][0, 0] - full[0, 0]) <= 1e-15
         inv_root = factored_reconstruct(*factors)[0, 0]
         assert inv_root == 1.0 / math.sqrt(factors[1][0, 0])
@@ -419,18 +435,17 @@ def test_reconstruction_consistency():
 
 
 def test_update_is_functional_and_input_untouched():
-    # the accumulators are never written; x is scratch and holds the documented
-    # value on return: x + eps after factored_update, (1 - decay) * (x + eps)
-    # after full_update
+    # the accumulators are never written; factored_update only reads x, and
+    # full_update takes it as scratch holding (1 - decay) * (x + eps) on return
     row, col = zero_factors(2, 2)
     full = np.zeros((2, 2))
-    snapshot = np.array([[1.0, 2.0], [3.0, 4.0]])
+    snapshot = np.array([[1.0, -2.0], [3.0, 4.0]])
     x = snapshot.copy()
     new_row, new_col = factored_update(row, col, x, 0.9, 0.5)
-    np.testing.assert_array_equal(x, snapshot + 0.5)
-    x = snapshot.copy()
+    assert x.tobytes() == snapshot.tobytes()
+    x = np.abs(snapshot)
     new_full = full_update(full, x, 0.9, 0.5)
-    np.testing.assert_array_equal(x, (1.0 - 0.9) * (snapshot + 0.5))
+    np.testing.assert_array_equal(x, (1.0 - 0.9) * (np.abs(snapshot) + 0.5))
     assert new_row is not row and new_col is not col and new_full is not full
     assert np.all(row == 0.0) and np.all(col == 0.0) and np.all(full == 0.0)
 

@@ -103,6 +103,9 @@ def test_clip_into_out_is_bitwise_and_leaves_u():
         assert clip_by_rms(u, 1.0, out) is out
         np.testing.assert_array_equal(out, clip_by_rms(u, 1.0))
         np.testing.assert_array_equal(u, before)
+        # out may be u itself: the step clips its update in place
+        assert clip_by_rms(u, 1.0, out=u) is u
+        assert u.tobytes() == out.tobytes()
 
 
 def test_clip_zero_matrix():
@@ -726,21 +729,36 @@ def test_spare_path_is_bitwise_the_allocating_path(variant, dims, residual_vs_pr
         assert plain.t == pooled.t
 
 
-def _ref_fold(acc, x, factor_space=True):
-    """Plain allocating accumulator update: returns (new acc, x -> x / sqrt(acc)).
+def _ref_rms(u, factor_space):
+    # the step's einsum pass, or np.mean's pairwise sum of the written squares
+    if factor_space:
+        return math.sqrt(np.einsum("ij,ij->", u, u) / u.size)
+    return math.sqrt(float(np.mean(np.square(u))))
 
-    A factored accumulator divides by the root of its rank-1 surrogate in
-    factor space, multiplying by sqrt(sum(row)) / sqrt(row_i) * (1 / sqrt(col_j))
-    as the step does; with factor_space=False it forms the surrogate
-    row_i * col_j / sum(row) and divides by its square root, Algorithm 1's
-    sqrt(V) form. A full accumulator always divides by its square root.
+
+def _ref_fold(acc, x, factor_space=True):
+    """Plain allocating accumulator update of x^2: returns (new acc, y -> y / sqrt(acc)).
+
+    A factored accumulator folds the einsum sums of squares of x plus m or n
+    epsilon, and divides by the root of its rank-1 surrogate in factor space,
+    multiplying by sqrt(sum(row)) / sqrt(row_i) * (1 / sqrt(col_j)), as the
+    step does. With factor_space=False it sums the written squares x^2 +
+    epsilon pairwise, forms the surrogate row_i * col_j / sum(row) and
+    divides by its square root: Algorithm 1's sqrt(V) form. A full
+    accumulator always folds x^2 + epsilon and divides by its square root.
     """
     kind, d, eps, arrays = acc
     if kind == "factored":
         row, col = arrays
-        shifted = x + eps
-        row = d * row + (1.0 - d) * shifted.sum(axis=1, keepdims=True)
-        col = d * col + (1.0 - d) * shifted.sum(axis=0, keepdims=True)
+        n, m = x.shape
+        if factor_space:
+            row_sq = np.einsum("ij,ij->i", x, x).reshape(n, 1) + m * eps
+            col_sq = np.einsum("ij,ij->j", x, x).reshape(1, m) + n * eps
+        else:
+            shifted = np.square(x) + eps
+            row_sq, col_sq = shifted.sum(axis=1, keepdims=True), shifted.sum(axis=0, keepdims=True)
+        row = d * row + (1.0 - d) * row_sq
+        col = d * col + (1.0 - d) * col_sq
         new = (kind, d, eps, (row, col))
         if factor_space:
             inv_root = (math.sqrt(row.sum()) / np.sqrt(row)) @ (1.0 / np.sqrt(col))
@@ -748,7 +766,7 @@ def _ref_fold(acc, x, factor_space=True):
         surrogate = (row @ col) / float(row.sum())
         return new, lambda y: y / np.sqrt(surrogate)
     (full,) = arrays
-    full = d * full + (1.0 - d) * (x + eps)
+    full = d * full + (1.0 - d) * (np.square(x) + eps)
     return (kind, d, eps, (full,)), lambda y: y / np.sqrt(full)
 
 
@@ -762,8 +780,9 @@ def _ref_acc(dims, decay, eps):
 def reference_step(variant, theta, g, ref, cfg, factor_space=True):
     """Plain allocating transcription of the step's expressions, in their order.
 
-    factor_space=False divides by the square roots of the factored surrogates
-    instead of multiplying by their factor-space inverse roots.
+    factor_space=False takes every sum of squares pairwise over the written
+    squares, as np.mean does, and divides by the square roots of the factored
+    surrogates instead of multiplying by their factor-space inverse roots.
     """
     t = ref["t"] + 1
     lr = cfg.lr * min(1.0, t / cfg.warmup_steps) if cfg.warmup_steps else cfg.lr
@@ -774,15 +793,13 @@ def reference_step(variant, theta, g, ref, cfg, factor_space=True):
         v_hat = v / (1.0 - cfg.beta2**t)
         ref.update(m=m, v=v, t=t)
         return theta - lr * (m_hat / (np.sqrt(v_hat) + cfg.adam_eps))
-    ref["sm"], normalize_v = _ref_fold(ref["sm"], np.square(g), factor_space)
+    ref["sm"], normalize_v = _ref_fold(ref["sm"], g, factor_space)
     u = normalize_v(g)
-    u_hat = u / max(1.0, math.sqrt(float(np.mean(np.square(u)))) / cfg.clip_d)
+    u_hat = u / max(1.0, _ref_rms(u, factor_space) / cfg.clip_d)
     m = cfg.beta1 * ref["m"] + (1.0 - cfg.beta1) * u_hat
     if variant == "came":
         m_ref = ref["m"] if cfg.came_residual_vs_prev else m
-        ref["instab"], normalize_s = _ref_fold(
-            ref["instab"], np.square(u_hat - m_ref), factor_space
-        )
+        ref["instab"], normalize_s = _ref_fold(ref["instab"], u_hat - m_ref, factor_space)
         theta_new = theta - lr * normalize_s(m)
     elif variant == "raw_confidence":
         theta_new = theta - lr * (m / np.sqrt(np.square(m - u_hat) + cfg.eps3))

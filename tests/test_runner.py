@@ -47,6 +47,26 @@ def test_run_rejects_zero_steps():
     assert err.value.field == "steps"
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [("seed", 1.9), ("seed", -1), ("seed", math.nan), ("steps", 2.5), ("steps", math.inf)],
+)
+def test_run_config_rejects_a_non_integer_seed_or_steps(field, value):
+    # seed 1.9 used to train as seed 1 while the summary recorded 1.9
+    with pytest.raises(InvalidConfig) as err:
+        quad_config(**{field: value})
+    assert err.value.field == field
+
+
+@pytest.mark.parametrize("seed", [1.9, -1, math.inf])
+def test_problem_seed_must_be_a_nonnegative_integer(seed):
+    # a problem's own seed reaches PCG64 through rng_from_seed, which no longer truncates
+    with pytest.raises(InvalidConfig) as err:
+        build_problem("mlp1", {"seed": seed})
+    assert err.value.field == "seed"
+    assert initial_params(build_problem("quadratic"), 2.0)["theta"].shape == (8, 1)
+
+
 def test_run_rejects_unknown_optimizer():
     with pytest.raises(InvalidConfig) as err:
         run(quad_config(optimizer="sgd"))
