@@ -146,14 +146,18 @@ def _load_config_file(path: str, allowed: Sequence[str]) -> Dict[str, object]:
             value = value.strip()
             if key not in allowed:
                 raise InvalidConfig(key, f"unknown config key at {path}:{lineno}")
-            parse = _OPTIONS[key][1]
-            try:
-                values[key] = parse(value)
-            except InvalidConfig:
-                raise
-            except ValueError as exc:
-                raise InvalidConfig(key, f"bad value at {path}:{lineno}: {exc}") from exc
+            values[key] = _parse_option(key, value, f" at {path}:{lineno}")
     return values
+
+
+def _parse_option(name: str, text: str, where: str = "") -> object:
+    # flags and config files share the parsers, and a bad value names its option
+    try:
+        return _OPTIONS[name][1](text)
+    except InvalidConfig:
+        raise
+    except ValueError as exc:
+        raise InvalidConfig(name, f"bad value{where}: {exc}") from exc
 
 
 def _resolve(args: argparse.Namespace) -> Dict[str, object]:
@@ -165,7 +169,7 @@ def _resolve(args: argparse.Namespace) -> Dict[str, object]:
     for name in names:
         flag_value = getattr(args, name, None)
         if flag_value is not None:
-            merged[name] = flag_value
+            merged[name] = _parse_option(name, flag_value)
     return merged
 
 
@@ -321,11 +325,9 @@ def build_parser() -> argparse.ArgumentParser:
     for command, (_, help_text, epilog, names, _) in _COMMANDS.items():
         p_cmd = sub.add_parser(command, help=help_text, epilog=epilog)
         for name in names:
+            # every value stays a string here and is parsed in _resolve
             flag, parse, _, option_help = _OPTIONS[name]
-            if parse is _parse_bool:
-                kind = dict(action="store_const", const=True)
-            else:
-                kind = dict(type=parse)
+            kind = dict(action="store_const", const="true") if parse is _parse_bool else {}
             p_cmd.add_argument(flag, dest=name, default=None, help=option_help, **kind)
         p_cmd.add_argument("--config", type=str, default=None, help=CONFIG_HELP)
     return parser

@@ -19,11 +19,12 @@ fallback. A step either completes and advances the state exactly once, or
 raises and leaves the state untouched; a gradient with a NaN or infinite
 entry raises.
 
-A step writes no input. It works in place on its own n x m arrays, taken
-from the caller's `spare` list while it lasts and allocated otherwise, and
-after committing it appends the parameter-shaped state arrays it retired.
-`runner.run` keeps such a list for every parameter of at least 128 KiB and
-adds the old theta to it, so a warm large step allocates at most one n x m
+A step owns its gradient: it works in g's array, returns the new theta
+there, and writes neither theta nor the state. Its other n x m working
+arrays come from the caller's `spare` list while it lasts and are allocated
+otherwise; after committing, it appends the state arrays it retired and the
+working arrays that did not become state. `runner.run` keeps such a list for
+every parameter of at least 128 KiB, so a warm large step allocates no n x m
 array, and glibc stops handing pages back to the kernel only to fault them
 in again. Only the new theta and the new state's arrays outlive a step.
 
@@ -233,21 +234,26 @@ def step_param(
     cfg: OptimizerConfig,
     spare: Optional[List[Matrix]] = None,
 ) -> Matrix:
-    """One step of the state's variant; returns the new theta.
+    """One step of the state's variant; returns the new theta, in g's array.
 
-    Ownership: theta, g and every array the state held before the call are
-    never written. spare is an optional list of arrays the caller gives up,
-    each C-contiguous float64 of the parameter's shape and overlapping none
-    of theta, g, the state and each other; anything else raises ValueError
-    naming spare before any work. Every parameter-shaped array the step
-    writes is taken from the end of spare while it lasts and allocated
-    otherwise; once the step has committed, it appends the arrays it retired
-    (the old momentum, and the old full accumulators of adam or of a 1-D
-    parameter). A runner that also appends the old theta keeps the list
-    balanced, so a warm step allocates at most one large array. Every
-    candidate value is computed and checked before the state is touched, so
-    a step that raises (shape mismatch, non-finite gradient, nonpositive
-    denominator) leaves the state as it was; it may have used up spares.
+    Ownership: the step takes g, works in it and writes the new theta there;
+    theta and every array the state held before the call are never written.
+    g must be writable, of theta's dtype and overlap neither theta nor the
+    state; anything else raises ValueError naming g before any work. spare
+    is an optional list of arrays the caller gives up, each C-contiguous
+    float64 of the parameter's shape and overlapping none of theta, g, the
+    state and each other; anything else raises ValueError naming spare
+    before any work. Every other parameter-shaped array the step writes is
+    taken from the end of spare while it lasts and allocated otherwise;
+    once the step has committed, it appends the arrays it retired (the old
+    momentum, and the old full accumulators of adam or of a 1-D parameter)
+    and the working arrays that did not become state, so a warm step
+    leaves the list as long as it found it and allocates no large array.
+    Every check on the gradient runs before g is first written, so a
+    non-finite gradient leaves theta, g and the state untouched. A step
+    that raises later (a zero epsilon's nonpositive instability or
+    confidence denominator) leaves theta and the state untouched and g
+    holding a working value. A step that raises may have used up spares.
     """
     shape = state.m.shape
     if theta.shape != shape or g.shape != shape:
@@ -257,87 +263,92 @@ def step_param(
         )
     # the parameter-shaped arrays a committed step replaces; the factors are small
     retired = (state.m, state.v, state.s)
+    held = (theta, *retired, state.v_row, state.v_col, state.s_row, state.s_col)
+    # the step writes g, so g may overlap nothing it reads
+    if not g.flags.writeable or g.dtype != theta.dtype or any(
+        a is not None and np.may_share_memory(g, a) for a in held
+    ):
+        raise ValueError("g: must be writable, of theta's dtype and overlap neither theta nor state")
     if spare:
-        factors = (state.v_row, state.v_col, state.s_row, state.s_col)
-        _check_spare(spare, shape, [a for a in (theta, g, *retired, *factors) if a is not None])
+        _check_spare(spare, shape, [a for a in (g, *held) if a is not None])
     t_next = state.t + 1
     lr = warmup_lr(t_next, cfg)
 
     if state.variant == "adam":
-        m_new = np.multiply(cfg.beta1, state.m, out=_reuse(spare))
-        buf = np.multiply(1.0 - cfg.beta1, g, out=_reuse(spare))
-        m_new += buf
-        np.square(g, out=buf)
+        # the second moment first, so its check runs before g is written
+        buf = np.square(g, out=_reuse(spare))
         buf *= 1.0 - cfg.beta2
         v_new = np.multiply(cfg.beta2, state.v, out=_reuse(spare))
         v_new += buf
         _require_finite(v_new)
-        np.divide(m_new, 1.0 - cfg.beta1**t_next, out=buf)  # m_hat
+        m_new = np.multiply(cfg.beta1, state.m, out=buf)
+        g *= 1.0 - cfg.beta1
+        m_new += g
+        np.divide(m_new, 1.0 - cfg.beta1**t_next, out=g)  # m_hat
         root = np.divide(v_new, 1.0 - cfg.beta2**t_next, out=_reuse(spare))  # v_hat
         np.sqrt(root, out=root)
         root += cfg.adam_eps
-        buf /= root
-        del root
-        buf *= lr
-        theta_new = np.subtract(theta, buf, out=buf)
+        g /= root
+        g *= lr
+        theta_new = np.subtract(theta, g, out=g)
         state.m, state.v, state.t = m_new, v_new, t_next
         if spare is not None:
-            spare += [a for a in retired if a is not None]
+            spare += [a for a in (root, *retired) if a is not None]
         return theta_new
 
     # adafactor pipeline: fold g^2, normalize by sqrt(v), clip, momentum.
-    # the factored fold squares g itself; u_hat holds the inverse root (or
-    # g^2, then sqrt(v), on the 1-D path), then the update, clipped in place
+    # scratch holds the inverse root (or g^2, then sqrt(v), on the 1-D path)
+    # and then the new momentum; g holds u_hat, clipped in place, then the update
     v, v_row, v_col = state.v, state.v_row, state.v_col
     if v is None:  # factored
         v_row, v_col = factored_update(v_row, v_col, g, cfg.beta2, cfg.eps1)
         _require_finite(v_row, v_col)
         # g / sqrt(V) as g * (1 / sqrt(V))
-        u_hat = factored_reconstruct(v_row, v_col, out=_reuse(spare))
-        np.multiply(g, u_hat, out=u_hat)
+        scratch = factored_reconstruct(v_row, v_col, out=_reuse(spare))
+        np.multiply(g, scratch, out=g)
     else:
-        u_hat = np.square(g, out=_reuse(spare))
-        v = full_update(v, u_hat, cfg.beta2, cfg.eps1, out=_reuse(spare))
+        scratch = np.square(g, out=_reuse(spare))
+        v = full_update(v, scratch, cfg.beta2, cfg.eps1, out=_reuse(spare))
         _require_finite(v)
-        np.sqrt(_require_positive(v, "second-moment surrogate"), out=u_hat)
-        np.divide(g, u_hat, out=u_hat)
-    clip_by_rms(u_hat, cfg.clip_d, out=u_hat)
-    m_new = np.multiply(cfg.beta1, state.m, out=_reuse(spare))
+        np.sqrt(_require_positive(v, "second-moment surrogate"), out=scratch)
+        np.divide(g, scratch, out=g)
+    clip_by_rms(g, cfg.clip_d, out=g)
+    m_new = np.multiply(cfg.beta1, state.m, out=scratch)
 
     s, s_row, s_col = state.s, state.s_row, state.s_col
+    free = None  # a working array that does not become state
     if state.variant == "adafactor":
-        u_hat *= 1.0 - cfg.beta1  # u_hat is not needed after the momentum
-        m_new += u_hat
-        buf = np.multiply(m_new, lr, out=u_hat)
+        g *= 1.0 - cfg.beta1  # u_hat is not needed after the momentum
+        m_new += g
+        np.multiply(m_new, lr, out=g)
     else:
-        buf = np.multiply(1.0 - cfg.beta1, u_hat, out=_reuse(spare))
-        m_new += buf
+        free = np.multiply(1.0 - cfg.beta1, g, out=_reuse(spare))
+        m_new += free
         if state.variant == "came":
-            m_ref = state.m if cfg.came_residual_vs_prev else m_new
-            np.subtract(u_hat, m_ref, out=buf)
-            if s is None:  # factored: m / sqrt(S) as m * (1 / sqrt(S)), in u_hat's array
-                s_row, s_col = factored_update(s_row, s_col, buf, cfg.beta3, cfg.eps2)
-                buf = factored_reconstruct(s_row, s_col, out=u_hat)
-                np.multiply(m_new, buf, out=buf)
-            else:  # the new s in u_hat's array, its root in the squared residual's
-                np.square(buf, out=buf)
-                s = full_update(s, buf, cfg.beta3, cfg.eps2, out=u_hat)
-                np.sqrt(_require_positive(s, "instability surrogate"), out=buf)
-                np.divide(m_new, buf, out=buf)
+            # the raw residual u_hat - m_ref, in place
+            np.subtract(g, state.m if cfg.came_residual_vs_prev else m_new, out=g)
+            if s is None:  # factored: m / sqrt(S) as m * (1 / sqrt(S))
+                s_row, s_col = factored_update(s_row, s_col, g, cfg.beta3, cfg.eps2)
+                np.multiply(m_new, factored_reconstruct(s_row, s_col, out=free), out=g)
+            else:  # the new s in the free array, its root in g
+                np.square(g, out=g)
+                s = full_update(s, g, cfg.beta3, cfg.eps2, out=free)
+                free = None
+                np.sqrt(_require_positive(s, "instability surrogate"), out=g)
+                np.divide(m_new, g, out=g)
         else:  # raw_confidence
-            np.subtract(m_new, u_hat, out=buf)
-            np.square(buf, out=buf)
-            buf += cfg.eps3
-            _require_positive(buf, "confidence denominator")
-            np.sqrt(buf, out=buf)
-            np.divide(m_new, buf, out=buf)
-        del u_hat
-        buf *= lr
-    theta_new = np.subtract(theta, buf, out=buf)
+            np.subtract(m_new, g, out=g)
+            np.square(g, out=g)
+            g += cfg.eps3
+            _require_positive(g, "confidence denominator")
+            np.sqrt(g, out=g)
+            np.divide(m_new, g, out=g)
+        g *= lr
+    theta_new = np.subtract(theta, g, out=g)
 
     state.v, state.v_row, state.v_col = v, v_row, v_col
     state.s, state.s_row, state.s_col = s, s_row, s_col
     state.m, state.t = m_new, t_next
     if spare is not None:
-        spare += [a for a in retired if a is not None]
+        spare += [a for a in (free, *retired) if a is not None]
     return theta_new

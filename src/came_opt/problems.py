@@ -47,7 +47,8 @@ class Problem:
 
     grad returns arrays the caller owns: fresh on every call, writable, and
     sharing no memory with the params, the dataset or each other. The runner
-    squares them in place once a step has used them.
+    hands each to `step_param`, which works in it and returns the new
+    parameter there.
     """
 
     name: str
@@ -93,8 +94,10 @@ def make_quadratic(dim: int = 8, condition_number: float = 10.0, seed: int = 0) 
     eigs = np.logspace(0.0, math.log10(condition_number), num=dim).reshape(dim, 1)
 
     def loss(params: Params) -> float:
-        theta = params["theta"]
-        return 0.5 * float(np.sum(eigs * np.square(theta)))
+        # one temporary, scaled in place; np.sum(a) is np.add.reduce(a, axis=None)
+        weighted = np.square(params["theta"])
+        weighted *= eigs
+        return 0.5 * float(np.add.reduce(weighted, axis=None))
 
     def grad(params: Params) -> Params:
         return {"theta": eigs * params["theta"]}

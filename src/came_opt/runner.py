@@ -115,9 +115,9 @@ def run(config: RunConfig) -> RunResult:
         name: make_state(config.optimizer, dims, config.opt)
         for name, dims in problem.param_specs
     }
-    # the arrays the last step retired, kept for the parameters whose arrays
-    # glibc hands back to the kernel when freed: step_param writes into them,
-    # so a warm step reuses their pages instead of faulting in fresh ones
+    # the arrays the last step retired or worked in, kept for the parameters
+    # whose arrays glibc hands back to the kernel when freed: step_param writes
+    # into them, so a warm step reuses their pages instead of faulting in fresh ones
     spares = {name: [] if p.nbytes >= RECYCLE_BYTES else None for name, p in params.items()}
 
     n = config.steps
@@ -141,23 +141,20 @@ def run(config: RunConfig) -> RunResult:
         for name, _ in problem.param_specs:
             g = grads[name]
             spare = spares[name]
+            # np.sum(a) is np.add.reduce(a, axis=None) behind two Python frames;
+            # g^2 goes into the spare the step overwrites first, or a temporary
+            g_sq += float(np.add.reduce(np.square(g, out=spare[-1] if spare else None), axis=None))
+            count += g.size
             try:
                 new_theta = step_param(params[name], g, states[name], config.opt, spare)
             except ValueError as exc:
                 raise ValueError(f"parameter {name!r} at step {t}: {exc}") from exc
-            # the old theta is the run's own array: it becomes the squared
-            # update, then a spare for the next step
+            # the new theta is in g's array; the old theta, the run's own array,
+            # becomes the squared update and is freed before the next step
             delta = np.subtract(new_theta, params[name], out=params[name])
             params[name] = new_theta
-            # np.sum(a) is np.add.reduce(a, axis=None) behind two Python frames;
-            # the gradient is the run's own array too, so it is squared in place
-            g_sq += float(np.add.reduce(np.square(g, out=g), axis=None))
             u_sq += float(np.add.reduce(np.square(delta, out=delta), axis=None))
-            count += g.size
-            if spare is not None:
-                spare.append(delta)
-        # free the gradients before the next loss and grad calls allocate theirs
-        del grads, g
+            del delta
         grad_rec[t - 1] = math.sqrt(g_sq / count)
         upd_rec[t - 1] = math.sqrt(u_sq / count)
         lr_rec[t - 1] = warmup_lr(t, config.opt)

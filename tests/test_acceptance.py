@@ -91,11 +91,13 @@ def test_criterion_2_kl_optimality():
 def test_criterion_3_pseudocode_fidelity():
     cfg = OptimizerConfig()
     theta = np.array([[1.0]])
-    g = np.array([[2.0]])
 
-    ada = float(step_param(theta, g, make_state("adafactor", (1, 1), cfg), cfg)[0, 0])
-    came = float(step_param(theta, g, make_state("came", (1, 1), cfg), cfg)[0, 0])
-    raw = float(step_param(theta, g, make_state("raw_confidence", (1, 1), cfg), cfg)[0, 0])
+    def g():  # each step writes the gradient it is given, so each gets its own
+        return np.array([[2.0]])
+
+    ada = float(step_param(theta, g(), make_state("adafactor", (1, 1), cfg), cfg)[0, 0])
+    came = float(step_param(theta, g(), make_state("came", (1, 1), cfg), cfg)[0, 0])
+    raw = float(step_param(theta, g(), make_state("raw_confidence", (1, 1), cfg), cfg)[0, 0])
 
     ok = (
         abs(ada - 0.9999) <= 1e-9

@@ -144,11 +144,12 @@ def test_bad_seed_names_field(tmp_path, capsys, argv, field):
 
 @pytest.mark.parametrize("key,value", [("seed", "1.9"), ("steps", "2.5"), ("steps", "inf")])
 def test_non_integer_seed_or_steps_names_field(tmp_path, capsys, key, value):
-    # a flag's int parser rejects the value naming the flag; a config file names the key
+    # a flag and a config file both give the JSON error naming the field
     out = str(tmp_path / "x")
-    with pytest.raises(SystemExit):
-        main(["run", "--problem", "quadratic", "--out", out, f"--{key}", value])
-    assert f"argument --{key}: invalid int value" in capsys.readouterr().err
+    code, _, err = run_cli(capsys, "run", "--problem", "quadratic", "--out", out, f"--{key}", value)
+    assert code == 1
+    assert read_error(err)["field"] == key
+    assert not os.path.exists(out + "_trace.csv")
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(f"{key} = {value}\n")
     code, _, err = run_cli(

@@ -209,7 +209,7 @@ def test_adafactor_gradient_scale_invariance():
     theta_a = np.ones((3, 3))
     theta_b = np.ones((3, 3))
     for g in grads:
-        theta_a = step_param(theta_a, g, state_a, cfg)
+        theta_a = step_param(theta_a, g.copy(), state_a, cfg)
         theta_b = step_param(theta_b, 10.0 * g, state_b, cfg)
         np.testing.assert_allclose(theta_b, theta_a, rtol=1e-10, atol=1e-13)
 
@@ -236,7 +236,7 @@ def test_came_and_adafactor_share_pipeline_bitwise():
     theta_c = np.zeros((4, 5))
     for _ in range(50):
         g = rng.standard_normal((4, 5))
-        theta_a = step_param(theta_a, g, state_a, cfg)
+        theta_a = step_param(theta_a, g.copy(), state_a, cfg)
         theta_c = step_param(theta_c, g, state_c, cfg)
         assert np.array_equal(state_a.m, state_c.m)
         assert np.array_equal(state_a.v_row, state_c.v_row)
@@ -475,13 +475,14 @@ def test_state_element_count_matches_memory_model(variant, dims):
 
 
 # Peak of one warm step, in n x m float64 arrays, per variant: (256 x 256 matrix,
-# 65536-entry column). A 1-D parameter keeps its unfactored accumulators as
-# fresh n x 1 arrays, so the column needs more than the matrix.
+# 65536-entry column). The step works in the gradient's array, which is not
+# counted. A 1-D parameter keeps its unfactored accumulators as fresh n x 1
+# arrays, so the column needs more than the matrix.
 STEP_PEAK_ARRAYS = {
-    "adafactor": (2, 3),
-    "came": (3, 5),
-    "raw_confidence": (3, 4),
-    "adam": (4, 4),
+    "adafactor": (1, 2),
+    "came": (2, 3),
+    "raw_confidence": (2, 3),
+    "adam": (3, 3),
 }
 
 
@@ -512,8 +513,8 @@ def test_step_transient_memory(variant, dims):
 def run_with_spares(variant, dims, cfg, seed, steps=3):
     """A state warmed by `steps` steps that pass a spare list as the runner does.
 
-    After each step the old theta joins the list, next to the arrays the step
-    retired. Returns (state, theta, the next gradient, spare).
+    The step refills the list with the arrays it retired or worked in; the
+    old theta is dropped. Returns (state, theta, the next gradient, spare).
     """
     shape = storage_shape(dims)
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -521,30 +522,17 @@ def run_with_spares(variant, dims, cfg, seed, steps=3):
     theta = rng.standard_normal(shape)
     spare = []
     for _ in range(steps):
-        new = step_param(theta, rng.standard_normal(shape), state, cfg, spare)
-        spare.append(theta)
-        theta = new
+        theta = step_param(theta, rng.standard_normal(shape), state, cfg, spare)
     return state, theta, rng.standard_normal(shape), spare
-
-
-# Peak of one warm step that reuses its spares, in n x m float64 arrays, per
-# variant: (256 x 256 matrix, 65536-entry column). The runner's old theta and
-# the retired momentum (and the full accumulators of adam or a 1-D parameter)
-# supply all but at most one of the arrays the step writes.
-STEADY_STEP_ARRAYS = {
-    "adafactor": (0, 0),
-    "came": (1, 0),
-    "raw_confidence": (1, 1),
-    "adam": (1, 1),
-}
 
 
 @pytest.mark.parametrize("dims", [(256, 256), (65536,)], ids=["matrix", "column"])
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_step_steady_state_memory(variant, dims):
     # tracemalloc peak of one step after three that passed a spare list, counted
-    # in n x m float64 arrays; the extra 0.03 covers factor vectors, scalars
-    # and headers
+    # in n x m float64 arrays: the gradient's array and the spares supply every
+    # array the step writes, so it allocates none; the 0.03 covers factor
+    # vectors, scalars and headers
     shape = storage_shape(dims)
     nm = shape[0] * shape[1]
     cfg = OptimizerConfig()
@@ -555,7 +543,7 @@ def test_step_steady_state_memory(variant, dims):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= (STEADY_STEP_ARRAYS[variant][len(dims) == 1] + 0.03) * nm * 8
+    assert peak <= 0.03 * nm * 8
 
 
 # ---------------------------------------------------------------------------
@@ -623,32 +611,94 @@ def test_poisoned_gradient_changes_nothing(case):
 @pytest.mark.parametrize("dims", [(32, 48), (40,)], ids=["matrix", "column"])
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_step_writes_no_input_and_returns_fresh_arrays(variant, dims, residual_vs_prev):
+    # the inputs are theta and the state: the step writes neither, and returns
+    # the new theta in g's array, which it owns
     cfg = OptimizerConfig(came_residual_vs_prev=residual_vs_prev)
     state, theta, g = run_with_spares(variant, dims, cfg, seed=30)[:3]
-    inputs = [theta, g] + state_arrays(state)
+    inputs = [theta] + state_arrays(state)
     snapshots = [a.copy() for a in inputs]
     theta_new = step_param(theta, g, state, cfg)
+    assert theta_new is g
     for array, before in zip(inputs, snapshots):
         assert np.array_equal(array, before)
     for fresh in [theta_new] + state_arrays(state):
         assert not any(np.shares_memory(fresh, old) for old in inputs)
     assert not np.shares_memory(theta_new, state.m)
 
-    # the same with a spare list as the runner keeps it: the new theta and the
-    # committed state come from the spares, never from the step's inputs
+    # the same with a spare list as the runner keeps it: the committed state
+    # comes from the spares, never from the step's inputs
     state, theta, g = run_with_spares(variant, dims, cfg, seed=30)[:3]
     spare = run_with_spares(variant, dims, cfg, seed=31)[3]
-    inputs = [theta, g] + state_arrays(state)
+    inputs = [theta] + state_arrays(state)
     snapshots = [a.copy() for a in inputs]
     theta_new = step_param(theta, g, state, cfg, spare)
+    assert theta_new is g
     for array, before in zip(inputs, snapshots):
         assert np.array_equal(array, before)
     fresh = [theta_new] + state_arrays(state)
     for i, array in enumerate(fresh):
         assert not any(np.shares_memory(array, old) for old in inputs)
         assert not any(np.shares_memory(array, other) for other in fresh[:i])
+        assert not any(np.shares_memory(array, a) for a in spare)
     # the retired momentum (and full accumulators) went back on the list
-    assert all(any(old is a for a in spare) for old in inputs[2:] if old.shape == theta.shape)
+    assert all(any(old is a for a in spare) for old in inputs[1:] if old.shape == theta.shape)
+
+
+@pytest.mark.parametrize("dims", [(6, 5), (7,)], ids=["matrix", "column"])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_warm_step_leaves_the_spare_list_as_long(variant, dims):
+    # every working array that does not become state goes back on the list,
+    # next to the retired state: the list neither grows nor runs dry, and a
+    # warm step allocates no parameter-shaped array
+    cfg = OptimizerConfig()
+    state, theta, g, spare = run_with_spares(variant, dims, cfg, seed=35)
+    length = len(spare)
+    assert length > 0
+    for g in (g, np.ones_like(g)):
+        pool = spare + state_arrays(state) + [g]
+        theta = step_param(theta, g, state, cfg, spare)
+        assert theta is g and len(spare) == length
+        for a in spare + [a for a in state_arrays(state) if a.shape == theta.shape]:
+            assert any(a is b for b in pool)
+
+
+@pytest.mark.parametrize("dims", [(6, 5), (7,)], ids=["matrix", "column"])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_step_rejects_a_gradient_it_may_not_write(variant, dims):
+    shape = storage_shape(dims)
+    cfg = OptimizerConfig()
+    state, theta, g, spare = run_with_spares(variant, dims, cfg, seed=36)
+    read_only = g.copy()
+    read_only.flags.writeable = False
+    bad = {
+        "read-only": read_only,
+        "float32": g.astype(np.float32),
+        "theta": theta,
+        "a view of theta": theta[::-1][::-1],
+    }
+    bad.update((name, getattr(state, name)) for name in state_shapes(variant, dims))
+    if state.v_row is not None:
+        # a gradient that lives in the buffer a factor is a view of
+        buffer = np.zeros(math.prod(shape) + shape[0])
+        buffer[-shape[0]:] = state.v_row[:, 0]
+        state.v_row = buffer[-shape[0]:].reshape(shape[0], 1)
+        bad["factor"] = buffer[shape[0]:].reshape(shape)
+    held = state_arrays(state)
+    before = [a.tobytes() for a in [theta, g, *held, *spare]]
+    spare_before = list(spare)
+    t_before = state.t
+    for case, bad_g in bad.items():
+        if bad_g.shape != shape:
+            continue  # a factor vector fails the shape check
+        bad_before = bad_g.tobytes()
+        with pytest.raises(ValueError, match="^g: "):
+            step_param(theta, bad_g, state, cfg, spare)
+        assert bad_g.tobytes() == bad_before, case
+        assert state.t == t_before, case
+        assert all(now is was for now, was in zip(spare, spare_before)), case
+        assert len(spare) == len(spare_before), case
+        assert all(now is was for now, was in zip(state_arrays(state), held)), case
+        assert [a.tobytes() for a in [theta, g, *held, *spare]] == before, case
 
 
 @pytest.mark.parametrize("dims", [(6, 5), (7,)], ids=["matrix", "column"])
@@ -719,10 +769,8 @@ def test_spare_path_is_bitwise_the_allocating_path(variant, dims, residual_vs_pr
     spare = []
     for _ in range(20):
         g = rng.standard_normal(shape) * rng.uniform(0.01, 10.0)
-        theta = step_param(theta, g, plain, cfg)
-        new = step_param(theta_pooled, g, pooled, cfg, spare)
-        spare.append(theta_pooled)
-        theta_pooled = new
+        theta = step_param(theta, g.copy(), plain, cfg)
+        theta_pooled = step_param(theta_pooled, g, pooled, cfg, spare)
         assert theta.tobytes() == theta_pooled.tobytes()
         for a, b in zip(state_arrays(plain), state_arrays(pooled)):
             assert a.tobytes() == b.tobytes()
@@ -826,7 +874,7 @@ def test_step_matches_allocating_reference_bitwise(variant, dims):
             theta = theta_ref = rng.standard_normal(shape)
             for _ in range(60):
                 g = rng.standard_normal(shape) * rng.uniform(0.01, 10.0)
-                theta = step_param(theta, g, state, cfg)
+                theta = step_param(theta, g.copy(), state, cfg)
                 theta_ref = reference_step(variant, theta_ref, g, ref, cfg)
                 assert np.array_equal(theta, theta_ref)
                 assert np.array_equal(state.m, ref["m"])
@@ -860,7 +908,7 @@ def test_step_tracks_algorithm_1_sqrt_form(variant, dims, residual_vs_prev):
     theta = theta_ref = rng.standard_normal(shape)
     for t in range(1, 61):
         g = rng.standard_normal(shape) * rng.uniform(0.01, 10.0)
-        theta = step_param(theta, g, state, cfg)
+        theta = step_param(theta, g.copy(), state, cfg)
         theta_ref = reference_step(variant, theta_ref, g, ref, cfg, factor_space=False)
         pairs = [(state.m, ref["m"])]
         if variant != "raw_confidence":

@@ -162,8 +162,9 @@ def test_run_rms_columns_match_a_plain_transcription_bitwise(variant):
         g_sq = u_sq = 0.0
         count = 0
         for name, _ in problem.param_specs:
-            new = step_param(params[name], grads[name], states[name], cfg)
+            # the step writes the gradient, so its squares are summed first
             g_sq += float(np.sum(np.square(grads[name])))
+            new = step_param(params[name], grads[name], states[name], cfg)
             u_sq += float(np.sum(np.square(new - params[name])))
             count += new.size
             params[name] = new
@@ -188,13 +189,15 @@ def test_run_recycles_only_arrays_of_at_least_128_kib(monkeypatch):
     spare_sizes = []
 
     def spy(theta, g, state, cfg, spare=None):
+        new = step_param(theta, g, state, cfg, spare)
         spare_sizes.append(None if spare is None else len(spare))
-        return step_param(theta, g, state, cfg, spare)
+        return new
 
     monkeypatch.setattr(runner_module, "step_param", spy)
     run(quad_config(problem_args={"dim": 16384}, steps=3))
-    # adam: the old theta, momentum and second moment come back after each step
-    assert spare_sizes == [0, 3, 3]
+    # adam: a working array, the momentum and the second moment come back
+    # after each step and the old theta is dropped, so the list stays at 3
+    assert spare_sizes == [3, 3, 3]
     spare_sizes.clear()
     run(quad_config(problem_args={"dim": 16383}, steps=3))
     assert spare_sizes == [None, None, None]
