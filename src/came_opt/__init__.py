@@ -1,4 +1,4 @@
-"""CAME, Adafactor and Adam on a minimal matrix core, with a benchmark harness."""
+"""CAME, Adafactor and Adam on plain numpy arrays, with a benchmark harness."""
 
 from .factored_moment import (
     factored_reconstruct,
@@ -40,6 +40,5 @@ from .problems import (
     make_rosenbrock,
     rng_from_seed,
 )
-from .tensor import Matrix, col_sums, outer_quotient, rms, row_sums
 
 __version__ = "0.1.0"

@@ -1,19 +1,19 @@
 """Rank-1 nonnegative factorization and the moving averages built on it.
 
 The closed-form factorization of a nonnegative matrix V into a column factor
-W = V 1 and a row factor H = 1^T V / 1^T V 1 minimizes the generalized
-Kullback-Leibler divergence to V among all rank-1 nonnegative matrices. An
-optimizer never stores V itself: it keeps exponential moving averages of the
-row-sum and column-sum factors and builds the inverse square root of the
-rank-1 surrogate from them on demand. The same functions serve both the
-squared-gradient accumulator and the instability accumulator, which differ
-only in decay and epsilon. An accumulator is plain arrays: a factored one
-is an n x 1 row factor and a 1 x m column factor, an unfactored one is a
-single array. The update functions return new accumulator arrays and never
-write the old ones. `factored_update` folds the squares of its input from
-read-only sums, so the n x m squares are never written; `full_update` takes
-already-squared scratch and shifts and scales it in place. `full_update`
-and `factored_reconstruct` write their n x m result into `out` when given one.
+W = V 1 (`row_sums`) and a row factor H = 1^T V / 1^T V 1 (`col_sums` over
+the total) minimizes the generalized Kullback-Leibler divergence to V among
+all rank-1 nonnegative matrices. An optimizer never stores V: it keeps moving
+averages of the two factors and builds the inverse square root of the rank-1
+surrogate from them on demand, as one `outer_quotient` of n + m roots. The
+same functions serve the squared-gradient and the instability accumulator,
+which differ only in decay and epsilon. An accumulator is plain arrays: a
+factored one is an n x 1 row factor and a 1 x m column factor, an unfactored
+one a single array. The update functions return new accumulator arrays and
+never write the old ones. `factored_update` folds the squares of its input
+from read-only sums, so the n x m squares are never written; `full_update`
+takes already-squared scratch and shifts and scales it in place. It and
+`factored_reconstruct` write their n x m result into `out` when given one.
 """
 
 from __future__ import annotations
@@ -23,17 +23,25 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .tensor import Matrix, col_sums, outer_quotient, row_sums
 
-
-def _require_finite_entries(caller: str, **arrays: Matrix) -> None:
+def _require_finite_entries(caller: str, **arrays: np.ndarray) -> None:
     # a NaN entry passes every comparison-based domain check, so test it first
     for name, x in arrays.items():
         if not np.all(np.isfinite(x)):
             raise ValueError(f"{caller} requires finite {name}, got NaN or inf entries")
 
 
-def nmf_rank1(v: Matrix) -> tuple:
+def row_sums(m: np.ndarray) -> np.ndarray:
+    """Sum each row: n x m -> n x 1."""
+    return np.add.reduce(m, axis=1, keepdims=True)
+
+
+def col_sums(m: np.ndarray) -> np.ndarray:
+    """Sum each column: n x m -> 1 x m."""
+    return np.add.reduce(m, axis=0, keepdims=True)
+
+
+def nmf_rank1(v: np.ndarray) -> tuple:
     """Closed-form rank-1 factorization (W, H) of a nonnegative matrix.
 
     W holds the row sums, H the column sums normalized by the grand total,
@@ -52,7 +60,7 @@ def nmf_rank1(v: Matrix) -> tuple:
     return w, h
 
 
-def generalized_kl(v: Matrix, a: Matrix) -> float:
+def generalized_kl(v: np.ndarray, a: np.ndarray) -> float:
     """Generalized KL divergence sum(v log(v/a) - v + a), with 0 log 0 = 0.
 
     a must be entrywise positive, v entrywise nonnegative, and both finite.
@@ -70,8 +78,8 @@ def generalized_kl(v: Matrix, a: Matrix) -> float:
 
 
 def factored_update(
-    row: Matrix, col: Matrix, x: Matrix, decay: float, epsilon: float
-) -> Tuple[Matrix, Matrix]:
+    row: np.ndarray, col: np.ndarray, x: np.ndarray, decay: float, epsilon: float
+) -> Tuple[np.ndarray, np.ndarray]:
     """Fold x^2 + epsilon, for any real n x m x, into the n x 1 and 1 x m factor averages.
 
     Returns the new (row, col): decay * row + (1 - decay) * (sum_j x_ij^2 +
@@ -100,7 +108,23 @@ def factored_update(
     return new_row, new_col
 
 
-def factored_reconstruct(row: Matrix, col: Matrix, out: Optional[Matrix] = None) -> Matrix:
+def outer_quotient(r: np.ndarray, c: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Outer product of an n x 1 r and a 1 x m c: the n x m array of single products r_i * c_j.
+
+    `factored_reconstruct` passes sqrt(sum(row)) / sqrt(row_i) and 1 / sqrt(col_j),
+    so entry (i, j) is the quotient sqrt(sum(row) / (row_i * col_j)). The result
+    goes into out when given, else into the only array it allocates: einsum,
+    unlike the broadcast r * c, allocates no iteration buffer next to it.
+    """
+    # einsum broadcasts a size-1 axis, so unchecked it would take a 1 x 2 r
+    if r.ndim != 2 or c.ndim != 2 or r.shape[1] != 1 or c.shape[0] != 1:
+        raise ValueError(f"need an n x 1 r and a 1 x m c, got shapes {r.shape} and {c.shape}")
+    return np.einsum("ik,kj->ij", r, c, out=out)
+
+
+def factored_reconstruct(
+    row: np.ndarray, col: np.ndarray, out: Optional[np.ndarray] = None
+) -> np.ndarray:
     """Inverse square root of the rank-1 surrogate row * col / sum(row), as an n x m array.
 
     Entry (i, j) is 1 / sqrt(row_i * col_j / sum(row)), built from the factors
@@ -135,8 +159,8 @@ def factored_reconstruct(row: Matrix, col: Matrix, out: Optional[Matrix] = None)
 
 
 def full_update(
-    acc: Matrix, x: Matrix, decay: float, epsilon: float, out: Optional[Matrix] = None
-) -> Matrix:
+    acc: np.ndarray, x: np.ndarray, decay: float, epsilon: float, out: Optional[np.ndarray] = None
+) -> np.ndarray:
     """Entrywise counterpart of factored_update: decay * acc + (1 - decay) * (x + epsilon).
 
     x is the already-squared input, nonnegative (a negative entry raises).

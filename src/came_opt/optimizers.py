@@ -11,10 +11,10 @@ differ only in the denominator of the final step:
 adam (classic bias-corrected first/second moments, the baseline) is a
 separate short branch.
 
-All parameters are 2-D float64 matrices; a logically 1-D parameter of n
-entries is stored as an n x 1 column. `state_shapes` lays out each
-parameter's persistent state and keeps a 1-D parameter's accumulators
-unfactored, so the memory claims of the factored variants survive the
+The layout rule lives here. `storage_shape` stores every parameter as a 2-D
+float64 array, a logically 1-D one of n entries as an n x 1 column, and
+`state_shapes` lays out its persistent state, keeping a 1-D parameter's
+accumulators unfactored so the factored variants' memory claims survive the
 fallback. A step either completes and advances the state exactly once, or
 raises and leaves the state untouched; a gradient with a NaN or infinite
 entry raises.
@@ -32,8 +32,8 @@ A factored accumulator (second moment, came's instability) folds the squares
 of g or of the raw residual u_hat - m from read-only einsum sums, never
 writing them, and divides in factor space: the step multiplies by the
 inverse root sqrt(sum(row)) / sqrt(row_i) * (1 / sqrt(col_j)) that
-`factored_reconstruct` builds, so the surrogate is never formed. The RMS
-clip sums with einsum too and divides in place. No sum uses BLAS, so no
+`factored_reconstruct` builds, so the surrogate is never formed. The clip's
+`rms` sums with einsum too, and it divides in place. No sum uses BLAS, so no
 trajectory depends on the BLAS thread count. The factored path is a few ulp
 per step from the plain formulas and the 1-D path differs only through the
 clip's RMS sum; adam is bitwise the plain formulas, with or without spares.
@@ -48,7 +48,6 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .factored_moment import factored_reconstruct, factored_update, full_update
-from .tensor import Matrix, rms, storage_shape
 
 VARIANTS = ("adafactor", "came", "adam", "raw_confidence")
 
@@ -111,6 +110,13 @@ class OptimizerConfig:
         require_integer("warmup_steps", self.warmup_steps, 0)
 
 
+def storage_shape(dims: Tuple[int, ...]) -> Tuple[int, int]:
+    """Map logical dims to the 2-D storage shape (1-D becomes a column)."""
+    if len(dims) not in (1, 2):
+        raise ValueError(f"parameters must be 1-D or 2-D, got dims {dims}")
+    return (dims[0], dims[1] if len(dims) == 2 else 1)
+
+
 def state_shapes(variant: str, dims: Tuple[int, ...]) -> Dict[str, Tuple[int, int]]:
     """The persistent state one parameter of logical dims needs: field -> storage shape.
 
@@ -150,13 +156,13 @@ class OptimizerState:
 
     variant: str
     dims: Tuple[int, ...]  # logical parameter dims, length 1 or 2
-    m: Matrix  # update momentum, parameter-shaped
-    v: Optional[Matrix] = None  # full second moment: adam, or a 1-D parameter
-    v_row: Optional[Matrix] = None  # factored second moment of a 2-D parameter
-    v_col: Optional[Matrix] = None
-    s: Optional[Matrix] = None  # came's instability average, full (1-D parameter)
-    s_row: Optional[Matrix] = None  # ... or factored (2-D parameter)
-    s_col: Optional[Matrix] = None
+    m: np.ndarray  # update momentum, parameter-shaped
+    v: Optional[np.ndarray] = None  # full second moment: adam, or a 1-D parameter
+    v_row: Optional[np.ndarray] = None  # factored second moment of a 2-D parameter
+    v_col: Optional[np.ndarray] = None
+    s: Optional[np.ndarray] = None  # came's instability average, full (1-D parameter)
+    s_row: Optional[np.ndarray] = None  # ... or factored (2-D parameter)
+    s_col: Optional[np.ndarray] = None
     t: int = 0
 
 
@@ -170,7 +176,16 @@ def make_state(variant: str, dims: Tuple[int, ...], cfg: OptimizerConfig) -> Opt
     return OptimizerState(variant=variant, dims=dims, **arrays)
 
 
-def clip_by_rms(u: Matrix, d: float, out: Optional[Matrix] = None) -> Matrix:
+def rms(m: np.ndarray) -> float:
+    """Root mean square of all entries of a 2-D array, summed by one read-only einsum pass.
+
+    numpy's own loops, not BLAS, so no BLAS thread count changes the result;
+    it is within 2 ulp of sqrt(mean(square(m))).
+    """
+    return math.sqrt(np.einsum("ij,ij->", m, m) / m.size)
+
+
+def clip_by_rms(u: np.ndarray, d: float, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Scale u down so its RMS never exceeds d: u / max(1, rms(u)/d).
 
     The result goes into out when given (an array of u's shape, or u itself
@@ -190,7 +205,7 @@ def warmup_lr(t: int, cfg: OptimizerConfig) -> float:
     return cfg.lr
 
 
-def _require_positive(denom: Matrix, what: str) -> Matrix:
+def _require_positive(denom: np.ndarray, what: str) -> np.ndarray:
     # guaranteed by the epsilon floors; only reachable when they are set to 0.
     # denom.min() without its Python wrapper: NaN propagates and is rejected
     if not np.minimum.reduce(denom, axis=None) > 0.0:
@@ -198,7 +213,7 @@ def _require_positive(denom: Matrix, what: str) -> Matrix:
     return denom
 
 
-def _require_finite(*arrays: Matrix) -> None:
+def _require_finite(*arrays: np.ndarray) -> None:
     # each array is a nonnegative sum or moving average of g^2: finite exactly
     # when every gradient entry is finite and its square does not overflow, and
     # its max, which propagates NaN, is finite exactly when all entries are
@@ -209,7 +224,7 @@ def _require_finite(*arrays: Matrix) -> None:
             )
 
 
-def _check_spare(spare: List[Matrix], shape: Tuple[int, int], held: List[Matrix]) -> None:
+def _check_spare(spare: List[np.ndarray], shape: Tuple[int, int], held: List[np.ndarray]) -> None:
     # a spare may overlap neither what the step reads nor another spare
     for a in spare:
         if a.shape != shape or a.dtype != np.float64 or not a.flags.c_contiguous:
@@ -222,18 +237,18 @@ def _check_spare(spare: List[Matrix], shape: Tuple[int, int], held: List[Matrix]
         held.append(a)
 
 
-def _reuse(spare: Optional[List[Matrix]]) -> Optional[Matrix]:
+def _reuse(spare: Optional[List[np.ndarray]]) -> Optional[np.ndarray]:
     # the caller's last spare array, or None: the ufunc then allocates the result
     return spare.pop() if spare else None
 
 
 def step_param(
-    theta: Matrix,
-    g: Matrix,
+    theta: np.ndarray,
+    g: np.ndarray,
     state: OptimizerState,
     cfg: OptimizerConfig,
-    spare: Optional[List[Matrix]] = None,
-) -> Matrix:
+    spare: Optional[List[np.ndarray]] = None,
+) -> np.ndarray:
     """One step of the state's variant; returns the new theta, in g's array.
 
     Ownership: the step takes g, works in it and writes the new theta there;

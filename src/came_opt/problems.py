@@ -1,10 +1,10 @@
 """Desk-scale differentiable objectives with analytic gradients.
 
 Each problem bundles a parameter manifest (name plus logical dims), a pure
-loss and a hand-derived gradient over a dict of parameter matrices, and an
-optional known optimum. Data generation and random parameter draws use
-numpy's PCG64 generator, so every dataset and every trajectory is a pure
-function of its integer seed, on any platform.
+loss and a hand-derived gradient over a dict of parameter matrices. Data
+generation and random parameter draws use numpy's PCG64 generator, so every
+dataset and every trajectory is a pure function of its integer seed, on any
+platform.
 
 finite_diff_grad is the independent oracle: central differences per
 coordinate, never sharing code with the analytic gradients it checks.
@@ -18,10 +18,9 @@ from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
-from .optimizers import require_integer
-from .tensor import Matrix, storage_shape
+from .optimizers import InvalidConfig, require_integer, storage_shape
 
-Params = Dict[str, Matrix]
+Params = Dict[str, np.ndarray]
 ParamSpec = Tuple[str, Tuple[int, ...]]
 
 
@@ -36,8 +35,8 @@ def rng_from_seed(seed: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class SyntheticDataset:
-    inputs: Matrix  # N x d
-    targets: Matrix  # N x out
+    inputs: np.ndarray  # N x d
+    targets: np.ndarray  # N x out
     seed: int
 
 
@@ -55,7 +54,6 @@ class Problem:
     param_specs: Tuple[ParamSpec, ...]
     loss: Callable[[Params], float]
     grad: Callable[[Params], Params]
-    known_optimum: Optional[float] = None
     init: Optional[Callable[[int], Params]] = None
     dataset: Optional[SyntheticDataset] = None
 
@@ -89,8 +87,8 @@ def make_quadratic(dim: int = 8, condition_number: float = 10.0, seed: int = 0) 
     uniformity but the objective does not depend on it."""
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
-    if condition_number <= 0.0:
-        raise ValueError(f"condition_number must be positive, got {condition_number}")
+    if not 0.0 < condition_number < math.inf:  # also rejects NaN
+        raise ValueError(f"condition_number must be positive and finite, got {condition_number}")
     eigs = np.logspace(0.0, math.log10(condition_number), num=dim).reshape(dim, 1)
 
     def loss(params: Params) -> float:
@@ -107,7 +105,6 @@ def make_quadratic(dim: int = 8, condition_number: float = 10.0, seed: int = 0) 
         param_specs=(("theta", (dim,)),),
         loss=loss,
         grad=grad,
-        known_optimum=0.0,
     )
 
 
@@ -137,12 +134,11 @@ def make_rosenbrock() -> Problem:
         param_specs=(("xy", (2,)),),
         loss=loss,
         grad=grad,
-        known_optimum=0.0,
         init=init,
     )
 
 
-def _sigmoid(z: Matrix) -> Matrix:
+def _sigmoid(z: np.ndarray) -> np.ndarray:
     # exp(-softplus(-z)) is stable for large |z|
     return np.exp(-np.logaddexp(0.0, -z))
 
@@ -323,10 +319,12 @@ def gradient_report(
 
     The per-parameter error is norm-wise relative:
     ||analytic - numeric|| / max(||analytic||, ||numeric||), with an absolute
-    fallback when both norms vanish.
+    fallback when both norms vanish. A points count below 1 or a tolerance
+    outside (0, inf) raises InvalidConfig naming it.
     """
-    if points < 1:
-        raise ValueError(f"points must be >= 1, got {points}")
+    require_integer("points", points, 1)
+    if not 0.0 < tolerance < math.inf:  # also rejects NaN
+        raise InvalidConfig("tolerance", f"must be positive and finite, got {tolerance}")
     rng = rng_from_seed(seed)
     shapes = problem.storage_shapes()
     worst = {name: 0.0 for name in shapes}

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from came_opt.cli import main as cli_main
-from came_opt.factored_moment import generalized_kl, nmf_rank1
+from came_opt.factored_moment import col_sums, generalized_kl, nmf_rank1, row_sums
 from came_opt.memory_model import bundled_manifest, report, scale_manifest
 from came_opt.optimizers import (
     OptimizerConfig,
@@ -20,7 +20,6 @@ from came_opt.optimizers import (
 )
 from came_opt.problems import build_problem, gradient_report
 from came_opt.runner import RunConfig, compare
-from came_opt.tensor import col_sums, row_sums
 
 ACCEPTANCE_SEEDS = list(range(1, 11))
 

@@ -244,11 +244,10 @@ def test_compare_cli_writes_columns(tmp_path, capsys):
 
 
 def test_compare_cli_bad_seeds(capsys):
-    code, _, err = run_cli(
-        capsys, "compare", "--problem", "quadratic", "--seeds", "1,x"
-    )
-    assert code == 1
-    assert read_error(err)["field"] == "seeds"
+    for seeds in ("1,x", "-1", "0,-1"):
+        code, _, err = run_cli(capsys, "compare", "--problem", "quadratic", "--seeds", seeds)
+        assert code == 1
+        assert read_error(err)["field"] == "seeds"
 
 
 def test_compare_cli_rejects_duplicate_seeds(capsys):
@@ -293,6 +292,30 @@ def test_grad_check_cli_fails_on_absurd_tolerance(capsys):
     assert "FAIL" in stdout
     payload = read_error(err)
     assert payload["parameters"]
+
+
+@pytest.mark.parametrize(
+    "flag,value",
+    [("--tolerance", "nan"), ("--tolerance", "0"), ("--tolerance", "-1"), ("--points", "0")],
+)
+def test_grad_check_cli_rejects_bad_points_and_tolerance(capsys, flag, value):
+    # an input error names its flag; it is not reported as a failed check
+    code, stdout, err = run_cli(capsys, "grad-check", "--problem", "quadratic", flag, value)
+    assert code == 1
+    assert "FAIL" not in stdout
+    assert read_error(err)["field"] == flag[2:]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_condition_number_reported(tmp_path, capsys, value):
+    code, _, err = run_cli(
+        capsys,
+        "run", "--problem", f"quadratic:condition_number={value}", "--steps", "3",
+        "--out", str(tmp_path / "x"),
+    )
+    assert code == 1
+    assert "condition_number" in read_error(err)["message"]
+    assert not (tmp_path / "x_trace.csv").exists()
 
 
 def test_memory_cli_bundled_and_file(tmp_path, capsys):

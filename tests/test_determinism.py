@@ -16,8 +16,7 @@ import numpy as np
 import pytest
 
 import came_opt
-from came_opt.optimizers import VARIANTS, OptimizerConfig, make_state, step_param
-from came_opt.tensor import storage_shape
+from came_opt.optimizers import VARIANTS, OptimizerConfig, make_state, step_param, storage_shape
 
 # a 256 x 256 factored matrix, and a 1-D parameter of 160 KB that the runner recycles
 PROBLEMS = ("mlp1:in_dim=256,hidden_dim=256,n_samples=32", "quadratic:dim=20000")

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from came_opt.factored_moment import (
+    col_sums,
     factored_reconstruct,
     factored_update,
     full_update,
     generalized_kl,
     nmf_rank1,
+    row_sums,
 )
 from came_opt.optimizers import (
     InvalidConfig,
@@ -17,7 +19,6 @@ from came_opt.optimizers import (
     _require_positive,
     make_state,
 )
-from came_opt.tensor import row_sums, col_sums
 
 
 def rand_nonneg(rng, n, m, scale=2.0):

@@ -14,11 +14,12 @@ from came_opt.optimizers import (
     OptimizerConfig,
     clip_by_rms,
     make_state,
+    rms,
     state_shapes,
     step_param,
+    storage_shape,
     warmup_lr,
 )
-from came_opt.tensor import rms, storage_shape
 
 
 def scalar_theta(x=1.0):

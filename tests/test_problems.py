@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from came_opt.optimizers import OptimizerConfig, make_state, step_param
+from came_opt.optimizers import InvalidConfig, OptimizerConfig, make_state, step_param
 from came_opt.problems import (
     PROBLEM_BUILDERS,
     Problem,
@@ -39,7 +39,6 @@ def test_quadratic_optimum_is_zero():
     at_zero = {"theta": np.zeros((6, 1))}
     assert p.loss(at_zero) == 0.0
     assert np.all(p.grad(at_zero)["theta"] == 0.0)
-    assert p.known_optimum == 0.0
 
 
 def test_quadratic_eigenvalue_range():
@@ -56,6 +55,10 @@ def test_quadratic_validation():
         make_quadratic(dim=0)
     with pytest.raises(ValueError):
         make_quadratic(dim=2, condition_number=0.0)
+    # NaN passes a plain <= 0 test; inf gives an infinite eigenvalue
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="condition_number"):
+            build_problem("quadratic", {"dim": 2, "condition_number": bad})
 
 
 # ---------------------------------------------------------------------------
@@ -272,11 +275,12 @@ def test_fd_honors_explicit_step():
 
 
 def test_known_optimum_reached():
+    # both problems have their minimum 0 at a known point
     for p, at in (
         (make_quadratic(dim=4), {"theta": np.zeros((4, 1))}),
         (make_rosenbrock(), {"xy": np.ones((2, 1))}),
     ):
-        assert abs(p.loss(at) - p.known_optimum) <= 1e-12
+        assert abs(p.loss(at)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +306,21 @@ def test_gradient_report_names_corrupted_parameter():
     assert not rep.passed
     assert rep.failing == ("b1",)
     assert any("FAIL" in line for line in rep.lines())
+
+
+def test_gradient_report_rejects_bad_points_and_tolerance():
+    problem = make_quadratic(dim=2)
+    for kwargs, field in (
+        ({"points": 0}, "points"),
+        ({"points": 1.5}, "points"),
+        ({"tolerance": math.nan}, "tolerance"),
+        ({"tolerance": 0.0}, "tolerance"),
+        ({"tolerance": -1.0}, "tolerance"),
+        ({"tolerance": math.inf}, "tolerance"),
+    ):
+        with pytest.raises(InvalidConfig) as info:
+            gradient_report(problem, **kwargs)
+        assert info.value.field == field
 
 
 def test_gradient_report_is_seeded():

@@ -359,6 +359,13 @@ def test_compare_rejects_duplicate_seeds():
     assert err.value.field == "seeds"
 
 
+def test_compare_rejects_negative_seed():
+    # RunConfig rejects it too, naming its seed field; compare names its seeds argument
+    with pytest.raises(InvalidConfig, match="nonnegative") as err:
+        compare([quad_config()], seeds=[0, -1])
+    assert err.value.field == "seeds"
+
+
 def test_compare_threshold_median():
     configs = [quad_config(optimizer="came", steps=200, threshold=1e-4)]
     result = compare(configs, seeds=[1, 2, 3])

@@ -1,9 +1,13 @@
+"""The array helpers the step calls: `rms` (optimizers), and the row and column
+sums and the outer product `outer_quotient` (factored_moment)."""
+
 import math
 
 import numpy as np
 import pytest
 
-from came_opt.tensor import col_sums, outer_quotient, rms, row_sums
+from came_opt.factored_moment import col_sums, outer_quotient, row_sums
+from came_opt.optimizers import rms
 
 
 def test_row_sums_by_hand():
