@@ -1,0 +1,75 @@
+"""Print one sha256 per (optimizer, problem) of `came-bench run --strict-determinism`.
+
+Each line is `<digest>  <optimizer>  <problem>`, where the digest covers the
+run's strict trace CSV followed by its summary JSON, over a fixed matrix of
+optimizers, problems, steps and seed. `STRICT_DIGESTS.txt` at the repository
+root holds this output; a change that moves any strict trace regenerates it
+and says why:
+
+    python scripts/strict_digests.py > STRICT_DIGESTS.txt
+
+--src imports `came_opt` from another checkout's `src/` directory, so one
+machine can compare two commits with the same script (CI runs it on a
+commit and on its parent):
+
+    python scripts/strict_digests.py --src /path/to/parent/src
+
+The digests depend on the platform's floating point and BLAS, so compare only
+digests made on one machine.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+OPTIMIZERS = ("adafactor", "came", "adam", "raw_confidence")
+PROBLEMS = (
+    "quadratic:dim=8",
+    "quadratic:dim=20000",  # a 1-D parameter of 160 KB, on the runner's spare lists
+    "rosenbrock",
+    "logreg",
+    "mlp1",
+    "mlp1:in_dim=256,hidden_dim=128,n_samples=64",  # a 256 x 128 factored matrix
+)
+RUN_FLAGS = ("--steps", "60", "--seed", "5", "--lr", "1e-3", "--warmup", "10")
+
+
+def digest(cli, optimizer: str, problem: str, workdir: Path) -> str:
+    """sha256 of the strict trace and summary of one run through the CLI."""
+    out = workdir / f"{optimizer}_{problem.replace(':', '_').replace(',', '_')}"
+    argv = ["run", "--problem", problem, "--optimizer", optimizer, *RUN_FLAGS,
+            "--strict-determinism", "--out", str(out)]
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    if code != 0:
+        raise SystemExit(f"came-bench {' '.join(argv)} exited with {code}")
+    h = hashlib.sha256()
+    for suffix in ("_trace.csv", "_summary.json"):
+        h.update(Path(f"{out}{suffix}").read_bytes())
+    return h.hexdigest()
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", default=str(Path(__file__).resolve().parent.parent / "src"),
+                        help="the src/ directory whose came_opt package runs (default: this checkout's)")
+    src = Path(parser.parse_args().src).resolve()
+    sys.path.insert(0, str(src))
+    from came_opt import cli
+
+    if src not in Path(cli.__file__).resolve().parents:
+        raise SystemExit(f"imported {cli.__file__}, not the came_opt package under {src}")
+    with tempfile.TemporaryDirectory() as workdir:
+        for problem in PROBLEMS:
+            for optimizer in OPTIMIZERS:
+                print(f"{digest(cli, optimizer, problem, Path(workdir))}  {optimizer}  {problem}")
+
+
+if __name__ == "__main__":
+    main()

@@ -1,8 +1,9 @@
 """The optimizer family behind one stepping interface, `step_param`.
 
 adafactor, came and raw_confidence share one update pipeline (fold g^2 into
-the second moment, normalize by its square root, RMS-clip, momentum) and
-differ only in the denominator of the final step:
+the second moment, normalize by its square root, RMS-clip, momentum in its
+lerp form m + (1 - beta1) (u_hat - m), Algorithm 1's beta1 m + (1 - beta1)
+u_hat rearranged) and differ only in the denominator of the final step:
 
   adafactor       none: step lr * m
   came            sqrt of a factored average of the instability (u_hat - m)^2
@@ -22,8 +23,8 @@ entry raises.
 A step owns its gradient: it works in g's array, returns the new theta
 there, and writes neither theta nor the state. Its other n x m working
 arrays come from the caller's `spare` list while it lasts and are allocated
-otherwise; after committing, it appends the state arrays it retired and the
-working arrays that did not become state. `runner.run` keeps such a list for
+otherwise; after committing, it appends the state arrays it retired, and
+adam also its one working array. `runner.run` keeps such a list for
 every parameter of at least 128 KiB, so a warm large step allocates no n x m
 array, and glibc stops handing pages back to the kernel only to fault them
 in again. Only the new theta and the new state's arrays outlive a step.
@@ -35,8 +36,8 @@ inverse root sqrt(sum(row)) / sqrt(row_i) * (1 / sqrt(col_j)) that
 `factored_reconstruct` builds, so the surrogate is never formed. The clip's
 `rms` sums with einsum too, and it divides in place. No sum uses BLAS, so no
 trajectory depends on the BLAS thread count. The factored path is a few ulp
-per step from the plain formulas and the 1-D path differs only through the
-clip's RMS sum; adam is bitwise the plain formulas, with or without spares.
+per step from Algorithm 1's plain formulas, the 1-D path differs only through
+the clip's RMS sum and the lerp; adam is bitwise the plain formulas.
 """
 
 from __future__ import annotations
@@ -191,7 +192,7 @@ def clip_by_rms(u: np.ndarray, d: float, out: Optional[np.ndarray] = None) -> np
     The result goes into out when given (an array of u's shape, or u itself
     to clip in place), else into a fresh array; rms only reads u.
     """
-    if d <= 0.0:
+    if not d > 0.0:  # also rejects NaN
         raise ValueError(f"clip threshold must be positive, got {d}")
     return np.divide(u, max(1.0, rms(u) / d), out=out)
 
@@ -262,8 +263,9 @@ def step_param(
     taken from the end of spare while it lasts and allocated otherwise;
     once the step has committed, it appends the arrays it retired (the old
     momentum, and the old full accumulators of adam or of a 1-D parameter)
-    and the working arrays that did not become state, so a warm step
-    leaves the list as long as it found it and allocates no large array.
+    and adam's one working array, so a warm step leaves the list as long as
+    it found it and allocates no large array. The lerp momentum keeps u_hat
+    in g, so a warm factored step takes a single spare, for the new momentum.
     Every check on the gradient runs before g is first written, so a
     non-finite gradient leaves theta, g and the state untouched. A step
     that raises later (a zero epsilon's nonpositive instability or
@@ -328,27 +330,25 @@ def step_param(
         np.sqrt(_require_positive(v, "second-moment surrogate"), out=scratch)
         np.divide(g, scratch, out=g)
     clip_by_rms(g, cfg.clip_d, out=g)
-    m_new = np.multiply(cfg.beta1, state.m, out=scratch)
+    # the momentum in its lerp form m + (1 - beta1) (u_hat - m), so u_hat stays in g
+    m_new = np.subtract(g, state.m, out=scratch)
+    m_new *= 1.0 - cfg.beta1
+    m_new += state.m
 
     s, s_row, s_col = state.s, state.s_row, state.s_col
-    free = None  # a working array that does not become state
     if state.variant == "adafactor":
-        g *= 1.0 - cfg.beta1  # u_hat is not needed after the momentum
-        m_new += g
         np.multiply(m_new, lr, out=g)
     else:
-        free = np.multiply(1.0 - cfg.beta1, g, out=_reuse(spare))
-        m_new += free
         if state.variant == "came":
             # the raw residual u_hat - m_ref, in place
             np.subtract(g, state.m if cfg.came_residual_vs_prev else m_new, out=g)
             if s is None:  # factored: m / sqrt(S) as m * (1 / sqrt(S))
                 s_row, s_col = factored_update(s_row, s_col, g, cfg.beta3, cfg.eps2)
-                np.multiply(m_new, factored_reconstruct(s_row, s_col, out=free), out=g)
-            else:  # the new s in the free array, its root in g
+                factored_reconstruct(s_row, s_col, out=g)
+                g *= m_new
+            else:  # the new s in a spare or fresh array, its root in g
                 np.square(g, out=g)
-                s = full_update(s, g, cfg.beta3, cfg.eps2, out=free)
-                free = None
+                s = full_update(s, g, cfg.beta3, cfg.eps2, out=_reuse(spare))
                 np.sqrt(_require_positive(s, "instability surrogate"), out=g)
                 np.divide(m_new, g, out=g)
         else:  # raw_confidence
@@ -365,5 +365,5 @@ def step_param(
     state.s, state.s_row, state.s_col = s, s_row, s_col
     state.m, state.t = m_new, t_next
     if spare is not None:
-        spare += [a for a in (free, *retired) if a is not None]
+        spare += [a for a in retired if a is not None]
     return theta_new

@@ -109,6 +109,13 @@ def test_clip_into_out_is_bitwise_and_leaves_u():
         assert u.tobytes() == out.tobytes()
 
 
+@pytest.mark.parametrize("d", [0.0, -1.0, math.nan])
+def test_clip_rejects_a_threshold_that_is_not_positive(d):
+    # NaN fails every comparison, so the guard tests d > 0, not d <= 0
+    with pytest.raises(ValueError, match="clip threshold must be positive"):
+        clip_by_rms(np.array([[5.0, -3.0]]), d)
+
+
 def test_clip_zero_matrix():
     z = np.zeros((3, 2))
     np.testing.assert_array_equal(clip_by_rms(z, 2.5), z)
@@ -481,8 +488,8 @@ def test_state_element_count_matches_memory_model(variant, dims):
 # arrays, so the column needs more than the matrix.
 STEP_PEAK_ARRAYS = {
     "adafactor": (1, 2),
-    "came": (2, 3),
-    "raw_confidence": (2, 3),
+    "came": (1, 3),
+    "raw_confidence": (1, 2),
     "adam": (3, 3),
 }
 
@@ -830,8 +837,10 @@ def reference_step(variant, theta, g, ref, cfg, factor_space=True):
     """Plain allocating transcription of the step's expressions, in their order.
 
     factor_space=False takes every sum of squares pairwise over the written
-    squares, as np.mean does, and divides by the square roots of the factored
-    surrogates instead of multiplying by their factor-space inverse roots.
+    squares, as np.mean does, divides by the square roots of the factored
+    surrogates instead of multiplying by their factor-space inverse roots,
+    and forms the momentum as Algorithm 1 writes it, beta1 m + (1 - beta1)
+    u_hat, instead of in the step's lerp form m + (1 - beta1) (u_hat - m).
     """
     t = ref["t"] + 1
     lr = cfg.lr * min(1.0, t / cfg.warmup_steps) if cfg.warmup_steps else cfg.lr
@@ -845,7 +854,10 @@ def reference_step(variant, theta, g, ref, cfg, factor_space=True):
     ref["sm"], normalize_v = _ref_fold(ref["sm"], g, factor_space)
     u = normalize_v(g)
     u_hat = u / max(1.0, _ref_rms(u, factor_space) / cfg.clip_d)
-    m = cfg.beta1 * ref["m"] + (1.0 - cfg.beta1) * u_hat
+    if factor_space:  # the step's lerp form of the momentum
+        m = ref["m"] + (1.0 - cfg.beta1) * (u_hat - ref["m"])
+    else:
+        m = cfg.beta1 * ref["m"] + (1.0 - cfg.beta1) * u_hat
     if variant == "came":
         m_ref = ref["m"] if cfg.came_residual_vs_prev else m
         ref["instab"], normalize_s = _ref_fold(ref["instab"], u_hat - m_ref, factor_space)

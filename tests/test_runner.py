@@ -201,6 +201,13 @@ def test_run_recycles_only_arrays_of_at_least_128_kib(monkeypatch):
     spare_sizes.clear()
     run(quad_config(problem_args={"dim": 16383}, steps=3))
     assert spare_sizes == [None, None, None]
+    spare_sizes.clear()
+    # came on a 256 x 256 w1 (512 KiB; the other mlp1 parameters are small):
+    # its factored step works in g and one spare and gives back only the old
+    # momentum, so the list stays at 1
+    mlp = {"in_dim": 256, "hidden_dim": 256, "n_samples": 8}
+    run(quad_config(problem="mlp1", problem_args=mlp, optimizer="came", steps=3))
+    assert spare_sizes == [1, None, None, None] * 3
 
 
 def test_run_is_deterministic_in_memory():
