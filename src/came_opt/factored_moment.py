@@ -10,8 +10,8 @@ same functions serve the squared-gradient and the instability accumulator,
 which differ only in decay and epsilon. An accumulator is plain arrays: a
 factored one is an n x 1 row factor and a 1 x m column factor, an unfactored
 one a single array. The update functions return new accumulator arrays and
-never write the old ones. `factored_update` folds the squares of its input
-from read-only sums, so the n x m squares are never written; `full_update`
+never write the old ones. `factored_update` folds the squares of its scaled
+input from read-only sums, so the n x m squares are never written; `full_update`
 takes already-squared scratch and shifts and scales it in place. It and
 `factored_reconstruct` write their n x m result into `out` when given one.
 """
@@ -78,14 +78,15 @@ def generalized_kl(v: np.ndarray, a: np.ndarray) -> float:
 
 
 def factored_update(
-    row: np.ndarray, col: np.ndarray, x: np.ndarray, decay: float, epsilon: float
+    row: np.ndarray, col: np.ndarray, x: np.ndarray, decay: float, epsilon: float,
+    scale: float = 1.0,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Fold x^2 + epsilon, for any real n x m x, into the n x 1 and 1 x m factor averages.
+    """Fold (scale x)^2 + epsilon, for any real n x m x, into the n x 1 and 1 x m factors.
 
-    Returns the new (row, col): decay * row + (1 - decay) * (sum_j x_ij^2 +
-    m epsilon), and col likewise with n epsilon; row, col and x are not
-    written. Each sum of squares is one read-only einsum pass in numpy's own
-    loops, never BLAS, whose summation order follows its thread count. A NaN
+    Returns the new (row, col): decay * row + (1 - decay) * (scale^2 sum_j
+    x_ij^2 + m epsilon), and col likewise with n epsilon; row, col and x are
+    not written. Each sum of squares is one read-only einsum pass in numpy's
+    own loops, never BLAS, whose summation order follows its thread count. A NaN
     or infinite entry, or a square that overflows, reaches the factors for
     the caller's finiteness check. epsilon > 0 keeps both factors positive.
     """
@@ -96,11 +97,15 @@ def factored_update(
     # fresh decay * row: few numpy calls for small factors, few temporaries
     # for the step's memory peak, and new factors that own their data
     row_sq = np.einsum("ij,ij->i", x, x)
+    if scale != 1.0:  # the sums of (scale x)^2 as scale^2 times those of x^2
+        row_sq *= scale * scale
     row_sq += m * epsilon
     row_sq *= 1.0 - decay
     new_row = decay * row
     new_row += row_sq.reshape(n, 1)
     col_sq = np.einsum("ij,ij->j", x, x)
+    if scale != 1.0:
+        col_sq *= scale * scale
     col_sq += n * epsilon
     col_sq *= 1.0 - decay
     new_col = decay * col
@@ -123,16 +128,16 @@ def outer_quotient(r: np.ndarray, c: np.ndarray, out: Optional[np.ndarray] = Non
 
 
 def factored_reconstruct(
-    row: np.ndarray, col: np.ndarray, out: Optional[np.ndarray] = None
+    row: np.ndarray, col: np.ndarray, scale: float = 1.0, out: Optional[np.ndarray] = None
 ) -> np.ndarray:
     """Inverse square root of the rank-1 surrogate row * col / sum(row), as an n x m array.
 
-    Entry (i, j) is 1 / sqrt(row_i * col_j / sum(row)), built from the factors
-    as sqrt(sum(row)) / sqrt(row_i) times 1 / sqrt(col_j): n + m square roots
-    and one `outer_quotient` into out (or a fresh array), the only n x m
-    write. The surrogate itself is never formed. A factor with a zero (no
-    updates yet), negative or NaN entry is rejected, and so is an infinite
-    sum or an inverse root that overflows.
+    Entry (i, j) is scale / sqrt(row_i * col_j / sum(row)), built from the
+    factors as scale sqrt(sum(row)) / sqrt(row_i) times 1 / sqrt(col_j): n + m
+    square roots and one `outer_quotient` into out (or a fresh array), the
+    only n x m write; the scale costs no pass. The surrogate itself is never
+    formed. A factor with a zero (no updates yet), negative or NaN entry is
+    rejected, and so is an infinite sum or a scaled inverse root that overflows.
     """
     # np.minimum propagates NaN, so a NaN entry fails the test too
     row_min = np.minimum.reduce(row, axis=None)
@@ -142,7 +147,7 @@ def factored_reconstruct(
             "factored_reconstruct requires strictly positive factors; "
             "an accumulator that has seen only zeros needs epsilon > 0"
         )
-    total_root = math.sqrt(np.add.reduce(row, axis=None))
+    total_root = scale * math.sqrt(np.add.reduce(row, axis=None))
     # rounding is monotone, so the smallest factors give the largest entry, in
     # the same operations; sqrt(sum) / sqrt(row_i) also keeps a subnormal
     # row_i from overflowing a quotient before its root is taken

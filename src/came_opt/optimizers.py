@@ -6,19 +6,18 @@ lerp form m + (1 - beta1) (u_hat - m), Algorithm 1's beta1 m + (1 - beta1)
 u_hat rearranged) and differ only in the denominator of the final step:
 
   adafactor       none: step lr * m
-  came            sqrt of a factored average of the instability (u_hat - m)^2
+  came            sqrt of a factored average of the instability (u_hat - m_new)^2
   raw_confidence  sqrt((m - u_hat)^2 + eps3), the full unfactored residual
 
 adam (classic bias-corrected first/second moments, the baseline) is a
 separate short branch.
 
 The layout rule lives here. `storage_shape` stores every parameter as a 2-D
-float64 array, a logically 1-D one of n entries as an n x 1 column, and
-`state_shapes` lays out its persistent state, keeping a 1-D parameter's
-accumulators unfactored so the factored variants' memory claims survive the
-fallback. A step either completes and advances the state exactly once, or
-raises and leaves the state untouched; a gradient with a NaN or infinite
-entry raises.
+float64 array, a logically 1-D one of n entries as an n x 1 column;
+`state_shapes` factors the accumulators of a matrix whose dims both exceed 1
+and keeps those of a vector (1-D, n x 1, 1 x m, 1 x 1) full. A step either
+completes and advances the state exactly once, or raises and leaves the
+state untouched; a gradient with a NaN or infinite entry raises.
 
 A step owns its gradient: it works in g's array, returns the new theta
 there, and writes neither theta nor the state. Its other n x m working
@@ -29,15 +28,15 @@ every parameter of at least 128 KiB, so a warm large step allocates no n x m
 array, and glibc stops handing pages back to the kernel only to fault them
 in again. Only the new theta and the new state's arrays outlive a step.
 
-A factored accumulator (second moment, came's instability) folds the squares
-of g or of the raw residual u_hat - m from read-only einsum sums, never
-writing them, and divides in factor space: the step multiplies by the
-inverse root sqrt(sum(row)) / sqrt(row_i) * (1 / sqrt(col_j)) that
-`factored_reconstruct` builds, so the surrogate is never formed. The clip's
-`rms` sums with einsum too, and it divides in place. No sum uses BLAS, so no
-trajectory depends on the BLAS thread count. The factored path is a few ulp
-per step from Algorithm 1's plain formulas, the 1-D path differs only through
-the clip's RMS sum and the lerp; adam is bitwise the plain formulas.
+A factored accumulator folds the squares of g, or came's residual u_hat -
+m_new = beta1 (u_hat - m), from read-only einsum sums, never writing them,
+and divides in factor space: the step multiplies by the inverse root
+sqrt(sum(row)) / sqrt(row_i) * (1 / sqrt(col_j)) (came's with lr in the
+scalar) that `factored_reconstruct` builds, never forming the surrogate. The
+clip's `rms` sums with einsum too, and it divides in place. No sum uses
+BLAS, so no trajectory depends on the BLAS thread count. The factored path
+is a few ulp per step from Algorithm 1's plain formulas, the full path only
+through the clip's RMS sum, the lerp and the residual; adam is bitwise.
 """
 
 from __future__ import annotations
@@ -126,7 +125,8 @@ def state_shapes(variant: str, dims: Tuple[int, ...]) -> Dict[str, Tuple[int, in
     a parameter-shaped momentum `m`. adam keeps a parameter-shaped second
     moment `v`. adafactor and raw_confidence keep the second moment, and came
     also its instability average `s`, factored (`*_row` n x 1, `*_col` 1 x m)
-    for a 2-D parameter and full (n x 1) for a 1-D one.
+    when n and m both exceed 1, and else full: a vector's factored averages
+    rebuild its full average exactly (for n x 1, c_1 = sum_i r_i), in more entries.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown optimizer {variant!r}, expected one of {VARIANTS}")
@@ -139,7 +139,7 @@ def state_shapes(variant: str, dims: Tuple[int, ...]) -> Dict[str, Tuple[int, in
         shapes["v"] = (rows, cols)
         return shapes
     for name in ("v", "s") if variant == "came" else ("v",):
-        if len(dims) == 2:
+        if rows > 1 and cols > 1:
             shapes[name + "_row"], shapes[name + "_col"] = (rows, 1), (1, cols)
         else:
             shapes[name] = (rows, cols)
@@ -158,11 +158,11 @@ class OptimizerState:
     variant: str
     dims: Tuple[int, ...]  # logical parameter dims, length 1 or 2
     m: np.ndarray  # update momentum, parameter-shaped
-    v: Optional[np.ndarray] = None  # full second moment: adam, or a 1-D parameter
-    v_row: Optional[np.ndarray] = None  # factored second moment of a 2-D parameter
+    v: Optional[np.ndarray] = None  # full second moment: adam, or a vector
+    v_row: Optional[np.ndarray] = None  # factored second moment of a matrix
     v_col: Optional[np.ndarray] = None
-    s: Optional[np.ndarray] = None  # came's instability average, full (1-D parameter)
-    s_row: Optional[np.ndarray] = None  # ... or factored (2-D parameter)
+    s: Optional[np.ndarray] = None  # came's instability average, full (vector)
+    s_row: Optional[np.ndarray] = None  # ... or factored (matrix)
     s_col: Optional[np.ndarray] = None
     t: int = 0
 
@@ -262,7 +262,7 @@ def step_param(
     before any work. Every other parameter-shaped array the step writes is
     taken from the end of spare while it lasts and allocated otherwise;
     once the step has committed, it appends the arrays it retired (the old
-    momentum, and the old full accumulators of adam or of a 1-D parameter)
+    momentum, and the old full accumulators of adam or of a vector)
     and adam's one working array, so a warm step leaves the list as long as
     it found it and allocates no large array. The lerp momentum keeps u_hat
     in g, so a warm factored step takes a single spare, for the new momentum.
@@ -314,7 +314,7 @@ def step_param(
         return theta_new
 
     # adafactor pipeline: fold g^2, normalize by sqrt(v), clip, momentum.
-    # scratch holds the inverse root (or g^2, then sqrt(v), on the 1-D path)
+    # scratch holds the inverse root (or g^2, then sqrt(v), on the full path)
     # and then the new momentum; g holds u_hat, clipped in place, then the update
     v, v_row, v_col = state.v, state.v_row, state.v_col
     if v is None:  # factored
@@ -330,34 +330,36 @@ def step_param(
         np.sqrt(_require_positive(v, "second-moment surrogate"), out=scratch)
         np.divide(g, scratch, out=g)
     clip_by_rms(g, cfg.clip_d, out=g)
-    # the momentum in its lerp form m + (1 - beta1) (u_hat - m), so u_hat stays in g
-    m_new = np.subtract(g, state.m, out=scratch)
+    # the momentum in its lerp form m + (1 - beta1) d, d = u_hat - m, built in
+    # scratch; came first folds its residual from d, as u_hat - m_new = beta1 d
+    d = np.subtract(g, state.m, out=scratch)
+    s, s_row, s_col = state.s, state.s_row, state.s_col
+    if state.variant == "came":
+        scale = 1.0 if cfg.came_residual_vs_prev else cfg.beta1
+        if s is None:  # factored
+            s_row, s_col = factored_update(s_row, s_col, d, cfg.beta3, cfg.eps2, scale)
+        else:  # (scale d)^2 in g, the new s in a spare or fresh array
+            np.square(np.multiply(d, scale, out=g), out=g)
+            s = full_update(s, g, cfg.beta3, cfg.eps2, out=_reuse(spare))
+    m_new = d
     m_new *= 1.0 - cfg.beta1
     m_new += state.m
 
-    s, s_row, s_col = state.s, state.s_row, state.s_col
     if state.variant == "adafactor":
         np.multiply(m_new, lr, out=g)
+    elif state.variant == "came" and s is None:  # lr m / sqrt(S) as m * (lr / sqrt(S))
+        factored_reconstruct(s_row, s_col, lr, out=g)
+        g *= m_new
     else:
         if state.variant == "came":
-            # the raw residual u_hat - m_ref, in place
-            np.subtract(g, state.m if cfg.came_residual_vs_prev else m_new, out=g)
-            if s is None:  # factored: m / sqrt(S) as m * (1 / sqrt(S))
-                s_row, s_col = factored_update(s_row, s_col, g, cfg.beta3, cfg.eps2)
-                factored_reconstruct(s_row, s_col, out=g)
-                g *= m_new
-            else:  # the new s in a spare or fresh array, its root in g
-                np.square(g, out=g)
-                s = full_update(s, g, cfg.beta3, cfg.eps2, out=_reuse(spare))
-                np.sqrt(_require_positive(s, "instability surrogate"), out=g)
-                np.divide(m_new, g, out=g)
+            np.sqrt(_require_positive(s, "instability surrogate"), out=g)
         else:  # raw_confidence
             np.subtract(m_new, g, out=g)
             np.square(g, out=g)
             g += cfg.eps3
             _require_positive(g, "confidence denominator")
             np.sqrt(g, out=g)
-            np.divide(m_new, g, out=g)
+        np.divide(m_new, g, out=g)
         g *= lr
     theta_new = np.subtract(theta, g, out=g)
 

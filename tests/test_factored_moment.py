@@ -451,6 +451,47 @@ def test_update_is_functional_and_input_untouched():
     assert np.all(row == 0.0) and np.all(col == 0.0) and np.all(full == 0.0)
 
 
+def test_scale_of_one_is_bitwise_the_unscaled_call():
+    rng = np.random.Generator(np.random.PCG64(11))
+    row, col = factored_update(*zero_factors(5, 7), rand_nonneg(rng, 5, 7), 0.9, 1e-12)
+    x = rng.standard_normal((5, 7))
+    for got, want in zip(
+        factored_update(row, col, x, 0.99, 1e-16, 1.0), factored_update(row, col, x, 0.99, 1e-16)
+    ):
+        assert got.tobytes() == want.tobytes()
+    assert factored_reconstruct(row, col, 1.0).tobytes() == factored_reconstruct(row, col).tobytes()
+
+
+def test_scale_folds_the_squares_of_the_scaled_input():
+    # scale s folds s^2 times the sums of x^2: bitwise that written by hand, and
+    # within 4 ulp of folding the squares of the rounded s x; lr in the inverse
+    # root's scalar is within 4 ulp of multiplying the inverse root by lr
+    rng = np.random.Generator(np.random.PCG64(12))
+    for n, m in ((5, 7), (1, 9), (33, 2)):
+        row, col = factored_update(*zero_factors(n, m), rand_nonneg(rng, n, m), 0.9, 1e-12)
+        x = rng.standard_normal((n, m)) * rng.uniform(0.01, 10.0)
+        scaled = factored_update(row, col, x, 0.999, 1e-16, scale=0.9)
+        row_sq = np.einsum("ij,ij->i", x, x).reshape(n, 1) * (0.9 * 0.9) + m * 1e-16
+        col_sq = np.einsum("ij,ij->j", x, x).reshape(1, m) * (0.9 * 0.9) + n * 1e-16
+        by_hand = (0.999 * row + (1.0 - 0.999) * row_sq, 0.999 * col + (1.0 - 0.999) * col_sq)
+        unscaled = factored_update(row, col, 0.9 * x, 0.999, 1e-16)
+        for got, hand, want in zip(scaled, by_hand, unscaled):
+            assert got.tobytes() == hand.tobytes()
+            np.testing.assert_array_max_ulp(got, want, maxulp=4)
+        np.testing.assert_array_max_ulp(
+            factored_reconstruct(*scaled, 1e-3), 1e-3 * factored_reconstruct(*scaled), maxulp=4
+        )
+
+
+def test_reconstruct_rejects_a_scale_that_overflows():
+    # the overflow check of the largest inverse-root entry includes the scale
+    row, col = np.array([[1.0], [4.0]]), np.array([[1e-20, 3.0]])
+    assert np.all(np.isfinite(factored_reconstruct(row, col, 1e290)))
+    for scale in (1e300, math.inf, math.nan):
+        with pytest.raises(ValueError, match="not finite"):
+            factored_reconstruct(row, col, scale)
+
+
 def test_out_receives_the_result_bitwise():
     rng = np.random.Generator(np.random.PCG64(10))
     row, col = factored_update(*zero_factors(5, 7), rand_nonneg(rng, 5, 7), 0.9, 1e-12)

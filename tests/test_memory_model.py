@@ -33,7 +33,7 @@ def test_adam_large_square_and_ratio():
 
 
 def test_adafactor_scalar_shape():
-    assert state_elements("adafactor", (1, 1)) == 1 + 1 + 1  # momentum + two unit factors
+    assert state_elements("adafactor", (1, 1)) == 1 + 1  # momentum + full second moment
 
 
 def test_one_dimensional_counts():
@@ -43,6 +43,15 @@ def test_one_dimensional_counts():
     assert state_elements("adafactor", (n,)) == 2 * n
     assert state_elements("sm3", (n,)) == 2 * n
     assert state_elements("came", (n,)) == 3 * n
+
+
+def test_vector_entry_counts_full_accumulators():
+    # an n x 1 or 1 x m entry is a vector, kept unfactored like a 1-D one
+    for text in ("x 512 1\n", "x 1 512\n", "x 512\n"):
+        rep = report(parse_manifest(text))
+        assert rep.totals == {
+            "adam": 1024, "lamb": 1024, "adafactor": 1024, "sm3": 1024, "came": 1536
+        }
 
 
 def test_state_elements_validation():

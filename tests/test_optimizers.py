@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from came_opt.factored_moment import factored_reconstruct
+from came_opt.factored_moment import factored_reconstruct, factored_update
 from came_opt.memory_model import MEMORY_OPTIMIZERS, state_elements
 from came_opt.optimizers import (
     VARIANTS,
@@ -252,24 +252,32 @@ def test_came_and_adafactor_share_pipeline_bitwise():
     assert not np.array_equal(theta_a, theta_c)
 
 
+def first_instability_inv_roots(cfg):
+    """1 / sqrt(S) after one came step of a constant gradient 2 from zero state,
+    for a 1 x 1 parameter (full s) and a 2 x 2 one (factored s)."""
+    for dims in ((1, 1), (2, 2)):
+        state = make_state("came", dims, cfg)
+        step_param(np.ones(dims), np.full(dims, 2.0), state, cfg)
+        if state.s is not None:
+            yield 1.0 / np.sqrt(state.s)
+        else:
+            yield factored_reconstruct(state.s_row, state.s_col)
+
+
 def test_came_residual_uses_updated_momentum_by_default():
-    # first step from zero state: U = (u_hat - m1)^2 = (0.9 u_hat)^2
+    # first step from zero state: u_hat = 1 everywhere, U = (u_hat - m1)^2 = (0.9 u_hat)^2
     cfg = OptimizerConfig()
-    state = make_state("came", (1, 1), cfg)
-    step_param(scalar_theta(1.0), scalar_theta(2.0), state, cfg)
     expected = (1.0 - cfg.beta3) * ((0.9 * 1.0) ** 2 + cfg.eps2)
-    inv_root = factored_reconstruct(state.s_row, state.s_col)  # 1 / sqrt(S)
-    assert inv_root[0, 0] == pytest.approx(1.0 / math.sqrt(expected), rel=1e-12)
+    for inv_root in first_instability_inv_roots(cfg):
+        np.testing.assert_allclose(inv_root, 1.0 / math.sqrt(expected), rtol=1e-12)
 
 
 def test_came_residual_vs_prev_flag():
     # opt-in: U = (u_hat - m_{t-1})^2, so the first step squares u_hat itself
     cfg = OptimizerConfig(came_residual_vs_prev=True)
-    state = make_state("came", (1, 1), cfg)
-    step_param(scalar_theta(1.0), scalar_theta(2.0), state, cfg)
     expected = (1.0 - cfg.beta3) * (1.0**2 + cfg.eps2)
-    inv_root = factored_reconstruct(state.s_row, state.s_col)  # 1 / sqrt(S)
-    assert inv_root[0, 0] == pytest.approx(1.0 / math.sqrt(expected), rel=1e-12)
+    for inv_root in first_instability_inv_roots(cfg):
+        np.testing.assert_allclose(inv_root, 1.0 / math.sqrt(expected), rtol=1e-12)
 
 
 def test_came_sign_property_on_scalars():
@@ -395,6 +403,25 @@ def test_make_state_accumulator_kinds():
             assert all(np.all(getattr(state, name) == 0.0) for name in held_shapes(state))
 
 
+@pytest.mark.parametrize("dims", [(7, 1), (1, 9), (1, 1)], ids=["n x 1", "1 x m", "1 x 1"])
+def test_vectors_keep_full_accumulators(dims):
+    # a 2-D parameter with a dim of 1 is a vector, kept unfactored like a 1-D
+    # one: its factored averages would only rebuild its full average, in more entries
+    cfg = OptimizerConfig()
+    n = math.prod(dims)
+    expected = {
+        "adafactor": {"m": dims, "v": dims},
+        "came": {"m": dims, "v": dims, "s": dims},
+        "raw_confidence": {"m": dims, "v": dims},
+        "adam": {"m": dims, "v": dims},
+    }
+    for variant in VARIANTS:
+        assert state_shapes(variant, dims) == expected[variant]
+        assert held_shapes(make_state(variant, dims, cfg)) == expected[variant]
+    assert state_elements("came", dims) == 3 * n
+    assert state_elements("adafactor", dims) == 2 * n
+
+
 def test_make_state_rejects_bad_inputs():
     cfg = OptimizerConfig()
     with pytest.raises(ValueError, match="unknown optimizer"):
@@ -483,9 +510,9 @@ def test_state_element_count_matches_memory_model(variant, dims):
 
 
 # Peak of one warm step, in n x m float64 arrays, per variant: (256 x 256 matrix,
-# 65536-entry column). The step works in the gradient's array, which is not
-# counted. A 1-D parameter keeps its unfactored accumulators as fresh n x 1
-# arrays, so the column needs more than the matrix.
+# 65536-entry column or vector). The step works in the gradient's array, which
+# is not counted. A 1-D or vector parameter keeps its unfactored accumulators
+# as fresh arrays of its shape, so it needs more than the matrix.
 STEP_PEAK_ARRAYS = {
     "adafactor": (1, 2),
     "came": (1, 3),
@@ -494,14 +521,16 @@ STEP_PEAK_ARRAYS = {
 }
 
 
-@pytest.mark.parametrize("dims", [(256, 256), (65536,)], ids=["matrix", "column"])
+@pytest.mark.parametrize(
+    "dims", [(256, 256), (65536,), (65536, 1)], ids=["matrix", "column", "vector"]
+)
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_step_transient_memory(variant, dims):
     # tracemalloc peak of one warm step, counted in n x m float64 arrays; the
     # extra 0.03 covers factor vectors, scalars and headers
     shape = storage_shape(dims)
     nm = shape[0] * shape[1]
-    full_arrays = STEP_PEAK_ARRAYS[variant][len(dims) == 1]
+    full_arrays = STEP_PEAK_ARRAYS[variant][1 in shape]
     cfg = OptimizerConfig()
     rng = np.random.Generator(np.random.PCG64(28))
     state = make_state(variant, dims, cfg)
@@ -534,7 +563,9 @@ def run_with_spares(variant, dims, cfg, seed, steps=3):
     return state, theta, rng.standard_normal(shape), spare
 
 
-@pytest.mark.parametrize("dims", [(256, 256), (65536,)], ids=["matrix", "column"])
+@pytest.mark.parametrize(
+    "dims", [(256, 256), (65536,), (65536, 1)], ids=["matrix", "column", "vector"]
+)
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_step_steady_state_memory(variant, dims):
     # tracemalloc peak of one step after three that passed a spare list, counted
@@ -792,43 +823,48 @@ def _ref_rms(u, factor_space):
     return math.sqrt(float(np.mean(np.square(u))))
 
 
-def _ref_fold(acc, x, factor_space=True):
-    """Plain allocating accumulator update of x^2: returns (new acc, y -> y / sqrt(acc)).
+def _ref_fold(acc, x, factor_space=True, scale=1.0):
+    """Plain allocating accumulator update of (scale x)^2: returns (new acc, the
+    normalizer (y, lr) -> lr y / sqrt(acc)).
 
-    A factored accumulator folds the einsum sums of squares of x plus m or n
-    epsilon, and divides by the root of its rank-1 surrogate in factor space,
-    multiplying by sqrt(sum(row)) / sqrt(row_i) * (1 / sqrt(col_j)), as the
-    step does. With factor_space=False it sums the written squares x^2 +
-    epsilon pairwise, forms the surrogate row_i * col_j / sum(row) and
-    divides by its square root: Algorithm 1's sqrt(V) form. A full
-    accumulator always folds x^2 + epsilon and divides by its square root.
+    A factored accumulator folds the einsum sums of squares of x, times
+    scale^2, plus m or n epsilon, and divides by the root of its rank-1
+    surrogate in factor space, multiplying by lr sqrt(sum(row)) / sqrt(row_i)
+    * (1 / sqrt(col_j)), as the step does. With factor_space=False it sums the
+    written squares x^2 + epsilon pairwise, forms the surrogate row_i * col_j
+    / sum(row) and divides by its square root: Algorithm 1's sqrt(V) form. A
+    full accumulator always folds (scale x)^2 + epsilon and divides by its
+    square root. Multiplying by a scale or lr of 1.0 is exact.
     """
     kind, d, eps, arrays = acc
     if kind == "factored":
         row, col = arrays
         n, m = x.shape
         if factor_space:
-            row_sq = np.einsum("ij,ij->i", x, x).reshape(n, 1) + m * eps
-            col_sq = np.einsum("ij,ij->j", x, x).reshape(1, m) + n * eps
+            row_sq = np.einsum("ij,ij->i", x, x).reshape(n, 1) * (scale * scale) + m * eps
+            col_sq = np.einsum("ij,ij->j", x, x).reshape(1, m) * (scale * scale) + n * eps
         else:
-            shifted = np.square(x) + eps
+            shifted = np.square(scale * x) + eps
             row_sq, col_sq = shifted.sum(axis=1, keepdims=True), shifted.sum(axis=0, keepdims=True)
         row = d * row + (1.0 - d) * row_sq
         col = d * col + (1.0 - d) * col_sq
         new = (kind, d, eps, (row, col))
         if factor_space:
-            inv_root = (math.sqrt(row.sum()) / np.sqrt(row)) @ (1.0 / np.sqrt(col))
-            return new, lambda y: y * inv_root
+            return new, lambda y, lr=1.0: y * (
+                (lr * math.sqrt(row.sum()) / np.sqrt(row)) @ (1.0 / np.sqrt(col))
+            )
         surrogate = (row @ col) / float(row.sum())
-        return new, lambda y: y / np.sqrt(surrogate)
+        return new, lambda y, lr=1.0: lr * (y / np.sqrt(surrogate))
     (full,) = arrays
-    full = d * full + (1.0 - d) * (np.square(x) + eps)
-    return (kind, d, eps, (full,)), lambda y: y / np.sqrt(full)
+    full = d * full + (1.0 - d) * (np.square(scale * x) + eps)
+    return (kind, d, eps, (full,)), lambda y, lr=1.0: lr * (y / np.sqrt(full))
 
 
-def _ref_acc(dims, decay, eps):
+def _ref_acc(dims, decay, eps, factor_space=True):
+    # the step factors a matrix whose dims both exceed 1; Algorithm 1's form
+    # (factor_space=False) factors every 2-D parameter
     rows, cols = storage_shape(dims)
-    if len(dims) == 2:
+    if len(dims) == 2 and (min(rows, cols) > 1 or not factor_space):
         return ("factored", decay, eps, (np.zeros((rows, 1)), np.zeros((1, cols))))
     return ("full", decay, eps, (np.zeros((rows, cols)),))
 
@@ -836,11 +872,14 @@ def _ref_acc(dims, decay, eps):
 def reference_step(variant, theta, g, ref, cfg, factor_space=True):
     """Plain allocating transcription of the step's expressions, in their order.
 
+    The step forms the momentum in its lerp form m + (1 - beta1) d, d = u_hat
+    - m, and came folds its residual u_hat - m_new as beta1 d (d under
+    came_residual_vs_prev) and multiplies lr into its factored inverse root.
     factor_space=False takes every sum of squares pairwise over the written
     squares, as np.mean does, divides by the square roots of the factored
     surrogates instead of multiplying by their factor-space inverse roots,
-    and forms the momentum as Algorithm 1 writes it, beta1 m + (1 - beta1)
-    u_hat, instead of in the step's lerp form m + (1 - beta1) (u_hat - m).
+    and forms the momentum and came's residual as Algorithm 1 writes them,
+    beta1 m + (1 - beta1) u_hat and u_hat - m.
     """
     t = ref["t"] + 1
     lr = cfg.lr * min(1.0, t / cfg.warmup_steps) if cfg.warmup_steps else cfg.lr
@@ -854,14 +893,16 @@ def reference_step(variant, theta, g, ref, cfg, factor_space=True):
     ref["sm"], normalize_v = _ref_fold(ref["sm"], g, factor_space)
     u = normalize_v(g)
     u_hat = u / max(1.0, _ref_rms(u, factor_space) / cfg.clip_d)
-    if factor_space:  # the step's lerp form of the momentum
-        m = ref["m"] + (1.0 - cfg.beta1) * (u_hat - ref["m"])
+    if factor_space:  # the step's lerp form of the momentum and its residual
+        d = u_hat - ref["m"]
+        m = ref["m"] + (1.0 - cfg.beta1) * d
+        scale, residual = (1.0 if cfg.came_residual_vs_prev else cfg.beta1), d
     else:
         m = cfg.beta1 * ref["m"] + (1.0 - cfg.beta1) * u_hat
+        scale, residual = 1.0, u_hat - (ref["m"] if cfg.came_residual_vs_prev else m)
     if variant == "came":
-        m_ref = ref["m"] if cfg.came_residual_vs_prev else m
-        ref["instab"], normalize_s = _ref_fold(ref["instab"], u_hat - m_ref, factor_space)
-        theta_new = theta - lr * normalize_s(m)
+        ref["instab"], normalize_s = _ref_fold(ref["instab"], residual, factor_space, scale)
+        theta_new = theta - normalize_s(m, lr)
     elif variant == "raw_confidence":
         theta_new = theta - lr * (m / np.sqrt(np.square(m - u_hat) + cfg.eps3))
     else:
@@ -916,8 +957,8 @@ def test_step_tracks_algorithm_1_sqrt_form(variant, dims, residual_vs_prev):
     rng = np.random.Generator(np.random.PCG64(32))
     state = make_state(variant, dims, cfg)
     ref = {"m": np.zeros(shape), "v": np.zeros(shape), "t": 0}
-    ref["sm"] = _ref_acc(dims, cfg.beta2, cfg.eps1)
-    ref["instab"] = _ref_acc(dims, cfg.beta3, cfg.eps2)
+    ref["sm"] = _ref_acc(dims, cfg.beta2, cfg.eps1, factor_space=False)
+    ref["instab"] = _ref_acc(dims, cfg.beta3, cfg.eps2, factor_space=False)
     theta = theta_ref = rng.standard_normal(shape)
     for t in range(1, 61):
         g = rng.standard_normal(shape) * rng.uniform(0.01, 10.0)
@@ -927,5 +968,45 @@ def test_step_tracks_algorithm_1_sqrt_form(variant, dims, residual_vs_prev):
         if variant != "raw_confidence":
             pairs.append((theta, theta_ref))
         for got, want in pairs:
+            bound = ULP_PER_STEP * t * np.spacing(np.max(np.abs(want)))
+            assert np.max(np.abs(got - want)) <= bound
+
+
+def factored_vector_step(variant, theta, g, old, cfg):
+    """The step of a factored parameter, built by hand from `factored_update`
+    and `factored_reconstruct` in Algorithm 1's order: the residual against the
+    new momentum, and lr applied to the update."""
+    t = old["t"] + 1
+    old["v"] = factored_update(*old["v"], g, cfg.beta2, cfg.eps1)
+    u_hat = clip_by_rms(g * factored_reconstruct(*old["v"]), cfg.clip_d)
+    m = old["m"] + (1.0 - cfg.beta1) * (u_hat - old["m"])
+    update = m
+    if variant == "came":
+        m_ref = old["m"] if cfg.came_residual_vs_prev else m
+        old["s"] = factored_update(*old["s"], u_hat - m_ref, cfg.beta3, cfg.eps2)
+        update = m * factored_reconstruct(*old["s"])
+    old.update(m=m, t=t)
+    return theta - warmup_lr(t, cfg) * update
+
+
+@pytest.mark.parametrize("residual_vs_prev", [False, True])
+@pytest.mark.parametrize("dims", [(64, 1), (1, 48), (1, 1)], ids=["64x1", "1x48", "1x1"])
+@pytest.mark.parametrize("variant", ["came", "adafactor"])
+def test_unfactored_vector_tracks_its_factored_step(variant, dims, residual_vs_prev):
+    # the factored averages of a vector rebuild its full average: for n x 1,
+    # c_1 = sum_i r_i, so r_i c_1 / sum(r) = r_i. Keeping it unfactored moves
+    # the trajectory only by rounding, held to Algorithm 1's per-step bound
+    cfg = OptimizerConfig(came_residual_vs_prev=residual_vs_prev, warmup_steps=5)
+    rng = np.random.Generator(np.random.PCG64(37))
+    state = make_state(variant, dims, cfg)
+    assert state.v is not None and state.v_row is None
+    zeros = (np.zeros((dims[0], 1)), np.zeros((1, dims[1])))
+    old = {"m": np.zeros(dims), "v": zeros, "s": zeros, "t": 0}
+    theta = theta_old = rng.standard_normal(dims)
+    for t in range(1, 61):
+        g = rng.standard_normal(dims) * rng.uniform(0.01, 10.0)
+        theta = step_param(theta, g.copy(), state, cfg)
+        theta_old = factored_vector_step(variant, theta_old, g, old, cfg)
+        for got, want in ((state.m, old["m"]), (theta, theta_old)):
             bound = ULP_PER_STEP * t * np.spacing(np.max(np.abs(want)))
             assert np.max(np.abs(got - want)) <= bound
