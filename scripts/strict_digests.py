@@ -1,10 +1,11 @@
-"""Print one sha256 per (optimizer, problem) of `came-bench run --strict-determinism`.
+"""Print two sha256 digests per (optimizer, problem) of `came-bench run --strict-determinism`.
 
-Each line is `<digest>  <optimizer>  <problem>`, where the digest covers the
-run's strict trace CSV followed by its summary JSON, over a fixed matrix of
-optimizers, problems, steps and seed. `STRICT_DIGESTS.txt` at the repository
-root holds this output; a change that moves any strict trace regenerates it
-and says why:
+Each line is `<trace digest>  <summary digest>  <optimizer>  <problem>`: the
+sha256 of the run's strict trace CSV, then of its summary JSON, over a fixed
+matrix of optimizers, problems, steps and seed. The two columns tell a moved
+trajectory (the trace) from a change to the summary's metadata alone.
+`STRICT_DIGESTS.txt` at the repository root holds this output; a change that
+moves any strict trace regenerates it and says why:
 
     python scripts/strict_digests.py > STRICT_DIGESTS.txt
 
@@ -27,6 +28,7 @@ import io
 import sys
 import tempfile
 from pathlib import Path
+from typing import Tuple
 
 OPTIMIZERS = ("adafactor", "came", "adam", "raw_confidence")
 PROBLEMS = (
@@ -40,8 +42,8 @@ PROBLEMS = (
 RUN_FLAGS = ("--steps", "60", "--seed", "5", "--lr", "1e-3", "--warmup", "10")
 
 
-def digest(cli, optimizer: str, problem: str, workdir: Path) -> str:
-    """sha256 of the strict trace and summary of one run through the CLI."""
+def digests(cli, optimizer: str, problem: str, workdir: Path) -> Tuple[str, ...]:
+    """sha256 of the strict trace and of the summary of one run through the CLI."""
     out = workdir / f"{optimizer}_{problem.replace(':', '_').replace(',', '_')}"
     argv = ["run", "--problem", problem, "--optimizer", optimizer, *RUN_FLAGS,
             "--strict-determinism", "--out", str(out)]
@@ -49,10 +51,10 @@ def digest(cli, optimizer: str, problem: str, workdir: Path) -> str:
         code = cli.main(argv)
     if code != 0:
         raise SystemExit(f"came-bench {' '.join(argv)} exited with {code}")
-    h = hashlib.sha256()
-    for suffix in ("_trace.csv", "_summary.json"):
-        h.update(Path(f"{out}{suffix}").read_bytes())
-    return h.hexdigest()
+    return tuple(
+        hashlib.sha256(Path(f"{out}{suffix}").read_bytes()).hexdigest()
+        for suffix in ("_trace.csv", "_summary.json")
+    )
 
 
 def main() -> None:
@@ -68,7 +70,8 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as workdir:
         for problem in PROBLEMS:
             for optimizer in OPTIMIZERS:
-                print(f"{digest(cli, optimizer, problem, Path(workdir))}  {optimizer}  {problem}")
+                trace, summary = digests(cli, optimizer, problem, Path(workdir))
+                print(f"{trace}  {summary}  {optimizer}  {problem}")
 
 
 if __name__ == "__main__":

@@ -6,7 +6,8 @@ lerp form m + (1 - beta1) (u_hat - m), Algorithm 1's beta1 m + (1 - beta1)
 u_hat rearranged) and differ only in the denominator of the final step:
 
   adafactor       none: step lr * m
-  came            sqrt of a factored average of the instability (u_hat - m_new)^2
+  came            sqrt of a factored average of the instability (u_hat - m_new)^2,
+                  Algorithm 1's residual against the already-updated momentum
   raw_confidence  sqrt((m - u_hat)^2 + eps3), the full unfactored residual
 
 adam (classic bias-corrected first/second moments, the baseline) is a
@@ -50,6 +51,7 @@ import numpy as np
 from .factored_moment import factored_reconstruct, factored_update, full_update
 
 VARIANTS = ("adafactor", "came", "adam", "raw_confidence")
+ADAM_EPS = 1e-8  # adam's denominator floor: m_hat / (sqrt(v_hat) + ADAM_EPS)
 
 
 class InvalidConfig(ValueError):
@@ -71,10 +73,7 @@ class OptimizerConfig:
     """Scalar hyperparameters shared by all variants, checked when built.
 
     beta3 and eps2 only matter for came; eps3 only for raw_confidence;
-    adam_eps only for adam. came_residual_vs_prev switches the instability
-    residual to (u_hat - m_prev)^2, i.e. against the momentum before it
-    absorbs the current update; the default squares the residual against
-    the already-updated momentum.
+    adam's floor is the constant ADAM_EPS.
 
     Building one, also through `dataclasses.replace`, raises InvalidConfig
     naming the first out-of-range or non-finite field; clip_d = inf is
@@ -90,8 +89,6 @@ class OptimizerConfig:
     eps3: float = 1e-16
     clip_d: float = 1.0
     warmup_steps: int = 0
-    adam_eps: float = 1e-8
-    came_residual_vs_prev: bool = False
 
     def __post_init__(self) -> None:
         # every comparison is False for NaN, so each check also rejects it
@@ -101,7 +98,7 @@ class OptimizerConfig:
             value = getattr(self, name)
             if not 0.0 < value < 1.0:
                 raise InvalidConfig(name, f"must be in (0, 1), got {value}")
-        for name in ("eps1", "eps2", "eps3", "adam_eps"):
+        for name in ("eps1", "eps2", "eps3"):
             value = getattr(self, name)
             if not 0.0 <= value < math.inf:
                 raise InvalidConfig(name, f"must be nonnegative and finite, got {value}")
@@ -304,7 +301,7 @@ def step_param(
         np.divide(m_new, 1.0 - cfg.beta1**t_next, out=g)  # m_hat
         root = np.divide(v_new, 1.0 - cfg.beta2**t_next, out=_reuse(spare))  # v_hat
         np.sqrt(root, out=root)
-        root += cfg.adam_eps
+        root += ADAM_EPS
         g /= root
         g *= lr
         theta_new = np.subtract(theta, g, out=g)
@@ -335,11 +332,10 @@ def step_param(
     d = np.subtract(g, state.m, out=scratch)
     s, s_row, s_col = state.s, state.s_row, state.s_col
     if state.variant == "came":
-        scale = 1.0 if cfg.came_residual_vs_prev else cfg.beta1
         if s is None:  # factored
-            s_row, s_col = factored_update(s_row, s_col, d, cfg.beta3, cfg.eps2, scale)
-        else:  # (scale d)^2 in g, the new s in a spare or fresh array
-            np.square(np.multiply(d, scale, out=g), out=g)
+            s_row, s_col = factored_update(s_row, s_col, d, cfg.beta3, cfg.eps2, cfg.beta1)
+        else:  # (beta1 d)^2 in g, the new s in a spare or fresh array
+            np.square(np.multiply(d, cfg.beta1, out=g), out=g)
             s = full_update(s, g, cfg.beta3, cfg.eps2, out=_reuse(spare))
     m_new = d
     m_new *= 1.0 - cfg.beta1

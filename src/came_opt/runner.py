@@ -318,15 +318,15 @@ def compare(configs: Sequence[RunConfig], seeds: Sequence[int]) -> CompareResult
     All configs must share the problem, its arguments, and the step count.
     Runs are independent; CAME_OPT_THREADS > 1 executes them in worker
     processes, with results ordered deterministically either way. No configs
-    raise InvalidConfig("optimizer"); no seeds, a negative or a repeated seed
-    raise InvalidConfig("seeds").
+    raise InvalidConfig("optimizer"); no seeds, or a seed that is not a
+    nonnegative integer or is repeated, raise InvalidConfig("seeds").
     """
     if not configs:
         raise InvalidConfig("optimizer", "expected at least one optimizer config")
     if not seeds:
         raise InvalidConfig("seeds", "expected at least one seed")
-    if min(seeds) < 0:
-        raise InvalidConfig("seeds", f"expected nonnegative seeds, got {list(seeds)}")
+    for s in seeds:
+        require_integer("seeds", s, 0)
     if len({int(s) for s in seeds}) != len(seeds):
         raise InvalidConfig("seeds", f"expected distinct seeds, got {list(seeds)}")
     first = configs[0]

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from came_opt import optimizers
 from came_opt.factored_moment import factored_reconstruct, factored_update
 from came_opt.memory_model import MEMORY_OPTIMIZERS, state_elements
 from came_opt.optimizers import (
@@ -63,8 +64,6 @@ def test_config_defaults():
         ("warmup_steps", 1.5),
         ("warmup_steps", math.inf),
         ("warmup_steps", math.nan),
-        ("adam_eps", -1e-8),
-        ("adam_eps", math.nan),
     ],
 )
 def test_config_validation_reports_field(field, value):
@@ -176,7 +175,7 @@ def test_adam_scalar_first_step():
     cfg = OptimizerConfig()
     state = make_state("adam", (1, 1), cfg)
     theta = step_param(scalar_theta(1.0), scalar_theta(2.0), state, cfg)
-    # bias correction cancels at t=1: update = lr * 2 / (2 + adam_eps)
+    # bias correction cancels at t=1: update = lr * 2 / (2 + ADAM_EPS)
     assert theta[0, 0] == pytest.approx(1.0 - 1e-3 * 2.0 / (2.0 + 1e-8), rel=1e-12)
 
 
@@ -222,8 +221,9 @@ def test_adafactor_gradient_scale_invariance():
         np.testing.assert_allclose(theta_b, theta_a, rtol=1e-10, atol=1e-13)
 
 
-def test_adam_scale_free_first_step():
-    cfg = OptimizerConfig(adam_eps=0.0)
+def test_adam_scale_free_first_step(monkeypatch):
+    monkeypatch.setattr(optimizers, "ADAM_EPS", 0.0)
+    cfg = OptimizerConfig()
     for g_value in (0.01, 2.0, 1e4):
         state = make_state("adam", (1, 1), cfg)
         theta = step_param(scalar_theta(0.0), scalar_theta(g_value), state, cfg)
@@ -265,17 +265,10 @@ def first_instability_inv_roots(cfg):
 
 
 def test_came_residual_uses_updated_momentum_by_default():
-    # first step from zero state: u_hat = 1 everywhere, U = (u_hat - m1)^2 = (0.9 u_hat)^2
+    # Algorithm 1 squares the residual against the updated momentum; first step
+    # from zero state: u_hat = 1 everywhere, U = (u_hat - m1)^2 = (0.9 u_hat)^2
     cfg = OptimizerConfig()
     expected = (1.0 - cfg.beta3) * ((0.9 * 1.0) ** 2 + cfg.eps2)
-    for inv_root in first_instability_inv_roots(cfg):
-        np.testing.assert_allclose(inv_root, 1.0 / math.sqrt(expected), rtol=1e-12)
-
-
-def test_came_residual_vs_prev_flag():
-    # opt-in: U = (u_hat - m_{t-1})^2, so the first step squares u_hat itself
-    cfg = OptimizerConfig(came_residual_vs_prev=True)
-    expected = (1.0 - cfg.beta3) * (1.0**2 + cfg.eps2)
     for inv_root in first_instability_inv_roots(cfg):
         np.testing.assert_allclose(inv_root, 1.0 / math.sqrt(expected), rtol=1e-12)
 
@@ -646,13 +639,14 @@ def test_poisoned_gradient_changes_nothing(case):
     assert [a.tobytes() for a in [theta, g] + state_arrays(state)] == before
 
 
-@pytest.mark.parametrize("residual_vs_prev", [False, True])
+# unclipped: clip_d = inf, the RMS clip of the shared pipeline switched off
+@pytest.mark.parametrize("unclipped", [False, True])
 @pytest.mark.parametrize("dims", [(32, 48), (40,)], ids=["matrix", "column"])
 @pytest.mark.parametrize("variant", VARIANTS)
-def test_step_writes_no_input_and_returns_fresh_arrays(variant, dims, residual_vs_prev):
+def test_step_writes_no_input_and_returns_fresh_arrays(variant, dims, unclipped):
     # the inputs are theta and the state: the step writes neither, and returns
     # the new theta in g's array, which it owns
-    cfg = OptimizerConfig(came_residual_vs_prev=residual_vs_prev)
+    cfg = OptimizerConfig(clip_d=math.inf if unclipped else 1.0)
     state, theta, g = run_with_spares(variant, dims, cfg, seed=30)[:3]
     inputs = [theta] + state_arrays(state)
     snapshots = [a.copy() for a in inputs]
@@ -795,12 +789,12 @@ def test_step_rejects_a_bad_spare_before_any_change(variant, dims):
     assert state.t == t_before and np.array_equal(g_view, g)
 
 
-@pytest.mark.parametrize("residual_vs_prev", [False, True])
+@pytest.mark.parametrize("unclipped", [False, True])
 @pytest.mark.parametrize("dims", [(1, 1), (5,), (7, 3), (64, 1), (32, 48)])
 @pytest.mark.parametrize("variant", VARIANTS)
-def test_spare_path_is_bitwise_the_allocating_path(variant, dims, residual_vs_prev):
+def test_spare_path_is_bitwise_the_allocating_path(variant, dims, unclipped):
     shape = storage_shape(dims)
-    cfg = OptimizerConfig(came_residual_vs_prev=residual_vs_prev, warmup_steps=3)
+    cfg = OptimizerConfig(clip_d=math.inf if unclipped else 1.0, warmup_steps=3)
     rng = np.random.Generator(np.random.PCG64(34))
     plain = make_state(variant, dims, cfg)
     pooled = make_state(variant, dims, cfg)
@@ -873,8 +867,8 @@ def reference_step(variant, theta, g, ref, cfg, factor_space=True):
     """Plain allocating transcription of the step's expressions, in their order.
 
     The step forms the momentum in its lerp form m + (1 - beta1) d, d = u_hat
-    - m, and came folds its residual u_hat - m_new as beta1 d (d under
-    came_residual_vs_prev) and multiplies lr into its factored inverse root.
+    - m, and came folds its residual u_hat - m_new as beta1 d and multiplies
+    lr into its factored inverse root.
     factor_space=False takes every sum of squares pairwise over the written
     squares, as np.mean does, divides by the square roots of the factored
     surrogates instead of multiplying by their factor-space inverse roots,
@@ -889,17 +883,17 @@ def reference_step(variant, theta, g, ref, cfg, factor_space=True):
         m_hat = m / (1.0 - cfg.beta1**t)
         v_hat = v / (1.0 - cfg.beta2**t)
         ref.update(m=m, v=v, t=t)
-        return theta - lr * (m_hat / (np.sqrt(v_hat) + cfg.adam_eps))
+        return theta - lr * (m_hat / (np.sqrt(v_hat) + optimizers.ADAM_EPS))
     ref["sm"], normalize_v = _ref_fold(ref["sm"], g, factor_space)
     u = normalize_v(g)
     u_hat = u / max(1.0, _ref_rms(u, factor_space) / cfg.clip_d)
     if factor_space:  # the step's lerp form of the momentum and its residual
         d = u_hat - ref["m"]
         m = ref["m"] + (1.0 - cfg.beta1) * d
-        scale, residual = (1.0 if cfg.came_residual_vs_prev else cfg.beta1), d
+        scale, residual = cfg.beta1, d
     else:
         m = cfg.beta1 * ref["m"] + (1.0 - cfg.beta1) * u_hat
-        scale, residual = 1.0, u_hat - (ref["m"] if cfg.came_residual_vs_prev else m)
+        scale, residual = 1.0, u_hat - m
     if variant == "came":
         ref["instab"], normalize_s = _ref_fold(ref["instab"], residual, factor_space, scale)
         theta_new = theta - normalize_s(m, lr)
@@ -917,9 +911,9 @@ def reference_step(variant, theta, g, ref, cfg, factor_space=True):
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_step_matches_allocating_reference_bitwise(variant, dims):
     shape = storage_shape(dims)
-    for residual_vs_prev in (False, True):
+    for clip_d in (1.0, math.inf):
         for warmup in (0, 5):
-            cfg = OptimizerConfig(came_residual_vs_prev=residual_vs_prev, warmup_steps=warmup)
+            cfg = OptimizerConfig(clip_d=clip_d, warmup_steps=warmup)
             rng = np.random.Generator(np.random.PCG64(31))
             state = make_state(variant, dims, cfg)
             ref = {"m": np.zeros(shape), "v": np.zeros(shape), "t": 0}
@@ -946,14 +940,14 @@ def test_step_matches_allocating_reference_bitwise(variant, dims):
 ULP_PER_STEP = 4
 
 
-@pytest.mark.parametrize("residual_vs_prev", [False, True])
+@pytest.mark.parametrize("unclipped", [False, True])
 @pytest.mark.parametrize(
     "dims", [(1, 1), (5,), (7, 3), (64, 1), (32, 48)], ids=["1x1", "5", "7x3", "64x1", "32x48"]
 )
 @pytest.mark.parametrize("variant", VARIANTS)
-def test_step_tracks_algorithm_1_sqrt_form(variant, dims, residual_vs_prev):
+def test_step_tracks_algorithm_1_sqrt_form(variant, dims, unclipped):
     shape = storage_shape(dims)
-    cfg = OptimizerConfig(came_residual_vs_prev=residual_vs_prev)
+    cfg = OptimizerConfig(clip_d=math.inf if unclipped else 1.0)
     rng = np.random.Generator(np.random.PCG64(32))
     state = make_state(variant, dims, cfg)
     ref = {"m": np.zeros(shape), "v": np.zeros(shape), "t": 0}
@@ -982,21 +976,20 @@ def factored_vector_step(variant, theta, g, old, cfg):
     m = old["m"] + (1.0 - cfg.beta1) * (u_hat - old["m"])
     update = m
     if variant == "came":
-        m_ref = old["m"] if cfg.came_residual_vs_prev else m
-        old["s"] = factored_update(*old["s"], u_hat - m_ref, cfg.beta3, cfg.eps2)
+        old["s"] = factored_update(*old["s"], u_hat - m, cfg.beta3, cfg.eps2)
         update = m * factored_reconstruct(*old["s"])
     old.update(m=m, t=t)
     return theta - warmup_lr(t, cfg) * update
 
 
-@pytest.mark.parametrize("residual_vs_prev", [False, True])
+@pytest.mark.parametrize("unclipped", [False, True])
 @pytest.mark.parametrize("dims", [(64, 1), (1, 48), (1, 1)], ids=["64x1", "1x48", "1x1"])
 @pytest.mark.parametrize("variant", ["came", "adafactor"])
-def test_unfactored_vector_tracks_its_factored_step(variant, dims, residual_vs_prev):
+def test_unfactored_vector_tracks_its_factored_step(variant, dims, unclipped):
     # the factored averages of a vector rebuild its full average: for n x 1,
     # c_1 = sum_i r_i, so r_i c_1 / sum(r) = r_i. Keeping it unfactored moves
     # the trajectory only by rounding, held to Algorithm 1's per-step bound
-    cfg = OptimizerConfig(came_residual_vs_prev=residual_vs_prev, warmup_steps=5)
+    cfg = OptimizerConfig(clip_d=math.inf if unclipped else 1.0, warmup_steps=5)
     rng = np.random.Generator(np.random.PCG64(37))
     state = make_state(variant, dims, cfg)
     assert state.v is not None and state.v_row is None

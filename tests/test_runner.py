@@ -368,8 +368,16 @@ def test_compare_rejects_duplicate_seeds():
 
 def test_compare_rejects_negative_seed():
     # RunConfig rejects it too, naming its seed field; compare names its seeds argument
-    with pytest.raises(InvalidConfig, match="nonnegative") as err:
+    with pytest.raises(InvalidConfig, match="integer >= 0") as err:
         compare([quad_config()], seeds=[0, -1])
+    assert err.value.field == "seeds"
+
+
+@pytest.mark.parametrize("seed", [1.5, math.nan])
+def test_compare_rejects_a_seed_that_is_not_an_integer(seed):
+    # 1.5 would otherwise train seed 1 and record it as 1; -1 is the case above
+    with pytest.raises(InvalidConfig) as err:
+        compare([quad_config()], seeds=[0, seed])
     assert err.value.field == "seeds"
 
 
