@@ -39,18 +39,9 @@ from .runner import (
 
 CONFIG_HELP = (
     "config file: flat 'key = value' lines, '#' comments; keys are the long "
-    "flag names with underscores (e.g. clip_d, strict_determinism); "
+    "flag names with underscores (e.g. clip_d, warmup); "
     "precedence is flags > file > defaults"
 )
-
-
-def _parse_bool(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"expected a boolean, got {text!r}")
 
 
 def _parse_seeds(text: str) -> List[int]:
@@ -112,13 +103,6 @@ _OPTIONS: Dict[str, tuple] = {
     "eps3": ("--eps3", float, _CFG_DEFAULTS.eps3, "raw-confidence regularizer"),
     "clip_d": ("--clip-d", float, _CFG_DEFAULTS.clip_d, "RMS clip threshold"),
     "warmup": ("--warmup", int, _CFG_DEFAULTS.warmup_steps, "linear warmup steps"),
-    "strict_determinism": (
-        "--strict-determinism",
-        _parse_bool,
-        False,
-        "omit wall-clock timing from trace and summary (sidecar CSV instead) "
-        "so outputs are byte-identical across reruns",
-    ),
     "points": ("--points", int, 10, "number of random check points"),
     "tolerance": ("--tolerance", float, 1e-6, "max allowed relative gradient error"),
     "manifest": ("--manifest", str, "bert-large", "bundled manifest name or file path"),
@@ -141,11 +125,14 @@ def _load_config_file(path: str, allowed: Sequence[str]) -> Dict[str, object]:
                 continue
             key, sep, value = line.partition("=")
             if not sep:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw.rstrip()!r}")
+                got = raw.rstrip()
+                raise InvalidConfig("config", f"{path}:{lineno}: expected 'key = value', got {got!r}")
             key = key.strip()
             value = value.strip()
             if key not in allowed:
                 raise InvalidConfig(key, f"unknown config key at {path}:{lineno}")
+            if key in values:
+                raise InvalidConfig(key, f"given twice at {path}:{lineno}")
             values[key] = _parse_option(key, value, f" at {path}:{lineno}")
     return values
 
@@ -165,7 +152,10 @@ def _resolve(args: argparse.Namespace) -> Dict[str, object]:
     merged = {name: _OPTIONS[name][2] for name in names}
     merged.update(defaults)
     if args.config:
-        merged.update(_load_config_file(args.config, names))
+        try:
+            merged.update(_load_config_file(args.config, names))
+        except (OSError, UnicodeDecodeError) as exc:
+            raise InvalidConfig("config", str(exc)) from exc
     for name in names:
         flag_value = getattr(args, name, None)
         if flag_value is not None:
@@ -174,7 +164,12 @@ def _resolve(args: argparse.Namespace) -> Dict[str, object]:
 
 
 def _optimizer_config(opts: Dict[str, object]) -> OptimizerConfig:
-    return OptimizerConfig(**{_HYPER_FIELD.get(name, name): opts[name] for name in _HYPER})
+    try:
+        return OptimizerConfig(**{_HYPER_FIELD.get(name, name): opts[name] for name in _HYPER})
+    except InvalidConfig as exc:
+        # a renamed field is reported under the option the user set
+        option = {field: name for name, field in _HYPER_FIELD.items()}.get(exc.field, exc.field)
+        raise InvalidConfig(option, str(exc).partition(": ")[2]) from exc
 
 
 def _require(opts: Dict[str, object], name: str) -> object:
@@ -196,16 +191,15 @@ def _cmd_run(opts: Dict[str, object]) -> int:
     )
     out_prefix = str(_require(opts, "out"))
     result = run(config)
-    paths = write_run_outputs(result, out_prefix, strict=bool(opts["strict_determinism"]))
+    paths = write_run_outputs(result, out_prefix)
     thr = result.steps_to_threshold
     print(
         f"final_loss={result.final_loss!r} best_loss={result.best_loss!r} "
         f"steps_to_threshold={'-' if thr is None else thr} "
-        f"state_elements={result.state_elements}"
+        f"state_elements={result.state_elements} total_wall_ms={result.total_wall_ms!r}"
     )
-    for kind in ("trace", "summary", "timing"):
-        if kind in paths:
-            print(f"wrote {kind}: {paths[kind]}")
+    for kind, path in paths.items():
+        print(f"wrote {kind}: {path}")
     return 0
 
 
@@ -260,7 +254,10 @@ def _cmd_memory(opts: Dict[str, object]) -> int:
     if baseline not in MEMORY_OPTIMIZERS:
         raise InvalidConfig("baseline", f"expected one of {MEMORY_OPTIMIZERS}, got {baseline!r}")
     load = bundled_manifest if name in _BUNDLED else load_manifest
-    manifest = load(name, element_width_bytes=width)
+    try:
+        manifest = load(name, element_width_bytes=width)
+    except (OSError, ValueError) as exc:
+        raise InvalidConfig("manifest", str(exc)) from exc
     if scale != 1:
         manifest = scale_manifest(manifest, scale)
     rep = report(manifest, baseline=baseline)
@@ -285,10 +282,9 @@ def _emit_error(message: str, field: Optional[str] = None, **extra) -> None:
 _COMMANDS: Dict[str, tuple] = {
     "run": (
         _cmd_run,
-        "train one problem with one optimizer, writing a trace CSV and summary JSON",
+        "train one problem with one optimizer, writing trace, summary and timing files",
         f"problems: {', '.join(sorted(PROBLEM_BUILDERS))}. {CONFIG_HELP}",
-        ("problem", "optimizer", "steps", "seed", "threshold", "out", *_HYPER,
-         "strict_determinism"),
+        ("problem", "optimizer", "steps", "seed", "threshold", "out", *_HYPER),
         {},
     ),
     "compare": (
@@ -326,9 +322,8 @@ def build_parser() -> argparse.ArgumentParser:
         p_cmd = sub.add_parser(command, help=help_text, epilog=epilog)
         for name in names:
             # every value stays a string here and is parsed in _resolve
-            flag, parse, _, option_help = _OPTIONS[name]
-            kind = dict(action="store_const", const="true") if parse is _parse_bool else {}
-            p_cmd.add_argument(flag, dest=name, default=None, help=option_help, **kind)
+            flag, _, _, option_help = _OPTIONS[name]
+            p_cmd.add_argument(flag, dest=name, default=None, help=option_help)
         p_cmd.add_argument("--config", type=str, default=None, help=CONFIG_HELP)
     return parser
 

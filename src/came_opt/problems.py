@@ -360,12 +360,18 @@ PROBLEM_BUILDERS = {
 
 
 def build_problem(name: str, args: Optional[dict] = None) -> Problem:
-    """Instantiate a registered problem by id with keyword overrides."""
+    """Instantiate a registered problem by id with keyword overrides.
+
+    An unknown id or rejected arguments raise InvalidConfig("problem"); the
+    builder's own InvalidConfig, such as "seed", passes through unchanged.
+    """
     if name not in PROBLEM_BUILDERS:
-        raise ValueError(
-            f"unknown problem {name!r}, expected one of {sorted(PROBLEM_BUILDERS)}"
+        raise InvalidConfig(
+            "problem", f"unknown problem {name!r}, expected one of {sorted(PROBLEM_BUILDERS)}"
         )
     try:
         return PROBLEM_BUILDERS[name](**(args or {}))
-    except TypeError as exc:
-        raise ValueError(f"bad arguments for problem {name!r}: {exc}") from exc
+    except InvalidConfig:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise InvalidConfig("problem", f"bad arguments for problem {name!r}: {exc}") from exc

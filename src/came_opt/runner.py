@@ -2,9 +2,9 @@
 
 A run is a pure function of its RunConfig: parameters are initialized from
 PCG64(seed), the full-batch gradient is stepped `steps` times, and every
-recorded quantity except wall-clock time is reproducible bit for bit. In
-strict mode the timing column moves to a sidecar file so the main trace and
-summary admit byte-identity checks.
+recorded quantity except wall-clock time is reproducible bit for bit. The
+wall-clock timing goes to a sidecar file, so the trace and summary files of
+two runs of one config are byte-identical.
 """
 
 from __future__ import annotations
@@ -84,8 +84,8 @@ class RunResult:
     state_elements: int
     total_wall_ms: float
 
-    def summary_dict(self, strict: bool = False) -> dict:
-        out = {
+    def summary_dict(self) -> dict:
+        return {
             "problem": self.config.problem,
             "problem_args": dict(self.config.problem_args),
             "optimizer": self.config.optimizer,
@@ -98,9 +98,6 @@ class RunResult:
             "steps_to_threshold": self.steps_to_threshold,
             "state_elements": self.state_elements,
         }
-        if not strict:
-            out["total_wall_ms"] = self.total_wall_ms
-        return out
 
 
 def run(config: RunConfig) -> RunResult:
@@ -214,43 +211,29 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def write_run_outputs(result: RunResult, out_prefix: str, strict: bool = False) -> Dict[str, str]:
-    """Write trace CSV and summary JSON; timing goes to a sidecar in strict mode.
+def write_run_outputs(result: RunResult, out_prefix: str) -> Dict[str, str]:
+    """Write the trace CSV, the summary JSON and the timing sidecar CSV.
 
-    Returns a dict of logical name -> path written.
+    Only the sidecar holds wall-clock time, so the trace and summary of two
+    runs of one config are byte-identical. Returns logical name -> path written.
     """
     trace = result.trace
-    header = TRACE_HEADER if strict else TRACE_HEADER + ("elapsed_ms",)
-    rows = [",".join(header)]
+    rows = [",".join(TRACE_HEADER)]
+    timing_rows = ["step,elapsed_ms"]
     for i in range(trace.step.size):
-        cells = [
-            str(int(trace.step[i])),
-            _fmt(trace.loss[i]),
-            _fmt(trace.grad_rms[i]),
-            _fmt(trace.update_rms[i]),
-            _fmt(trace.lr[i]),
-        ]
-        if not strict:
-            cells.append(_fmt(trace.elapsed_ms[i]))
-        rows.append(",".join(cells))
-    trace_path = f"{out_prefix}_trace.csv"
-    atomic_write_text(trace_path, "\n".join(rows) + "\n")
-
-    paths = {"trace": trace_path}
-    if strict:
-        timing_rows = ["step,elapsed_ms"]
-        for i in range(trace.step.size):
-            timing_rows.append(f"{int(trace.step[i])},{_fmt(trace.elapsed_ms[i])}")
-        timing_path = f"{out_prefix}_timing.csv"
-        atomic_write_text(timing_path, "\n".join(timing_rows) + "\n")
-        paths["timing"] = timing_path
-
-    summary_path = f"{out_prefix}_summary.json"
-    atomic_write_text(
-        summary_path,
-        json.dumps(result.summary_dict(strict=strict), indent=2, sort_keys=True) + "\n",
-    )
-    paths["summary"] = summary_path
+        step = str(int(trace.step[i]))
+        values = (trace.loss[i], trace.grad_rms[i], trace.update_rms[i], trace.lr[i])
+        rows.append(",".join([step, *map(_fmt, values)]))
+        timing_rows.append(f"{step},{_fmt(trace.elapsed_ms[i])}")
+    summary = json.dumps(result.summary_dict(), indent=2, sort_keys=True)
+    paths = {}
+    for kind, suffix, lines in (
+        ("trace", "_trace.csv", rows),
+        ("summary", "_summary.json", [summary]),
+        ("timing", "_timing.csv", timing_rows),
+    ):
+        paths[kind] = out_prefix + suffix
+        atomic_write_text(paths[kind], "\n".join(lines) + "\n")
     return paths
 
 

@@ -229,7 +229,7 @@ def test_criterion_8_determinism(tmp_path):
         code = cli_main(
             [
                 "run", "--problem", "mlp1", "--optimizer", "came", "--steps", "50",
-                "--seed", "11", "--out", prefix, "--strict-determinism",
+                "--seed", "11", "--out", prefix,
             ]
         )
         assert code == 0
@@ -240,4 +240,4 @@ def test_criterion_8_determinism(tmp_path):
             )
         )
     ok = blobs[0] == blobs[1]
-    _report(8, "identical strict-mode runs produce byte-identical trace files", ok)
+    _report(8, "identical runs produce byte-identical trace files", ok)

@@ -29,15 +29,18 @@ def test_run_writes_trace_and_summary(tmp_path, capsys):
         "--steps", "25", "--lr", "0.01", "--seed", "2", "--out", out,
     )
     assert code == 0
-    assert "final_loss=" in stdout
+    assert "final_loss=" in stdout and "total_wall_ms=" in stdout
     trace = Path(out + "_trace.csv").read_text().splitlines()
-    assert trace[0] == "step,loss,grad_rms,update_rms,lr,elapsed_ms"
+    assert trace[0] == "step,loss,grad_rms,update_rms,lr"
     assert len(trace) == 26
     summary = json.loads(Path(out + "_summary.json").read_text())
     assert summary["optimizer"] == "adam"
     assert summary["problem_args"] == {"dim": 4}
     assert summary["steps"] == 25
-    assert "total_wall_ms" in summary
+    assert "total_wall_ms" not in summary
+    timing = Path(out + "_timing.csv").read_text().splitlines()
+    assert timing[0] == "step,elapsed_ms"
+    assert len(timing) == 26
 
 
 def test_run_strict_mode_is_byte_identical(tmp_path, capsys):
@@ -47,7 +50,7 @@ def test_run_strict_mode_is_byte_identical(tmp_path, capsys):
         code, _, _ = run_cli(
             capsys,
             "run", "--problem", "mlp1", "--optimizer", "came", "--steps", "10",
-            "--seed", "7", "--out", out, "--strict-determinism",
+            "--seed", "7", "--out", out,
         )
         assert code == 0
         blobs.append(
@@ -71,6 +74,22 @@ def test_run_prints_plain_floats(tmp_path, capsys):
     )
     assert code == 0
     assert "np.float64" not in stdout
+
+
+def test_strict_determinism_flag_is_a_usage_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--problem", "rosenbrock", "--out", str(tmp_path / "x"),
+              "--strict-determinism"])
+    assert exc.value.code == 2
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text("strict_determinism = true\n")
+    code, _, err = run_cli(
+        capsys, "run", "--config", str(cfg), "--problem", "rosenbrock",
+        "--out", str(tmp_path / "x"),
+    )
+    assert code == 1
+    assert read_error(err)["field"] == "strict_determinism"
+    assert not (tmp_path / "x_trace.csv").exists()
 
 
 def test_unknown_problem_emits_error_json(tmp_path, capsys):
@@ -160,6 +179,29 @@ def test_non_integer_seed_or_steps_names_field(tmp_path, capsys, key, value):
     assert not os.path.exists(out + "_trace.csv")
 
 
+@pytest.mark.parametrize(
+    "problem,argv,field",
+    [
+        ("quadratic", ("--warmup", "-1"), "warmup"),
+        ("quadratic:dim=2.5", (), "problem"),
+        ("mlp1:in_dim=2.0", (), "problem"),
+        ("quadratic:wrong_kwarg=1", (), "problem"),
+        ("nope", (), "problem"),
+        ("quadratic", ("--config", "/no/such/run.cfg"), "config"),
+    ],
+    ids=["warmup", "float-dim", "float-in-dim", "unknown-arg", "unknown-problem",
+         "missing-config"],
+)
+def test_input_error_names_the_option_set(tmp_path, capsys, problem, argv, field):
+    # a builder's own InvalidConfig ("seed") is test_bad_seed_names_field's case,
+    # a missing manifest test_memory_cli_missing_file's
+    out = str(tmp_path / "x")
+    code, _, err = run_cli(capsys, "run", "--problem", problem, "--out", out, *argv)
+    assert code == 1
+    assert read_error(err)["field"] == field
+    assert not os.path.exists(out + "_trace.csv")
+
+
 def test_zero_steps_names_field(tmp_path, capsys):
     code, _, err = run_cli(
         capsys,
@@ -213,6 +255,35 @@ def test_config_file_and_flag_precedence(tmp_path, capsys):
     assert summary["steps"] == 7  # from file
     assert summary["optimizer_config"]["lr"] == 0.25  # flag beats file
     assert summary["optimizer_config"]["beta2"] == 0.999  # default fills the rest
+
+
+def test_config_file_repeated_key(tmp_path, capsys):
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text("lr = 0.1\n# a later line must not win silently\nlr = 0.2\n")
+    out = str(tmp_path / "x")
+    code, _, err = run_cli(
+        capsys, "run", "--config", str(cfg), "--problem", "quadratic", "--out", out
+    )
+    assert code == 1
+    payload = read_error(err)
+    assert payload["field"] == "lr"
+    assert payload["message"] == f"lr: given twice at {cfg}:3"
+    assert not os.path.exists(out + "_trace.csv")
+
+
+@pytest.mark.parametrize(
+    "content", [b"steps 7\n", b"lr = 0.1\n\xff\xfe\n"], ids=["no-equals", "not-utf8"]
+)
+def test_malformed_config_file_names_config(tmp_path, capsys, content):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(content)
+    out = str(tmp_path / "x")
+    code, _, err = run_cli(
+        capsys, "run", "--config", str(cfg), "--problem", "quadratic", "--out", out
+    )
+    assert code == 1
+    assert read_error(err)["field"] == "config"
+    assert not os.path.exists(out + "_trace.csv")
 
 
 def test_config_file_unknown_key(tmp_path, capsys):
@@ -339,7 +410,17 @@ def test_memory_cli_bundled_and_file(tmp_path, capsys):
 def test_memory_cli_missing_file(capsys):
     code, _, err = run_cli(capsys, "memory", "--manifest", "/no/such/file.txt")
     assert code == 1
-    assert "message" in read_error(err)
+    payload = read_error(err)
+    assert payload["field"] == "manifest" and "No such file" in payload["message"]
+
+
+def test_memory_cli_malformed_manifest_names_field(tmp_path, capsys):
+    manifest = tmp_path / "bad.txt"
+    manifest.write_text("w1 64 x\n")
+    code, _, err = run_cli(capsys, "memory", "--manifest", str(manifest))
+    assert code == 1
+    payload = read_error(err)
+    assert payload["field"] == "manifest" and "bad dimension" in payload["message"]
 
 
 def test_memory_cli_validates_width_scale_and_baseline(capsys):

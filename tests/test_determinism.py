@@ -28,8 +28,7 @@ def strict_run(problem, optimizer, threads, out):
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     subprocess.run(
         [sys.executable, "-m", "came_opt", "run", "--problem", problem,
-         "--optimizer", optimizer, "--steps", "12", "--seed", "3",
-         "--strict-determinism", "--out", str(out)],
+         "--optimizer", optimizer, "--steps", "12", "--seed", "3", "--out", str(out)],
         env=env, check=True, capture_output=True, timeout=120,
     )
     return Path(f"{out}_trace.csv").read_bytes(), Path(f"{out}_summary.json").read_bytes()

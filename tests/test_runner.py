@@ -279,20 +279,9 @@ def test_warmup_ramp_shows_in_trace():
 # ---------------------------------------------------------------------------
 
 
-def test_write_outputs_plain_mode(tmp_path):
-    result = run(quad_config(steps=8))
-    paths = write_run_outputs(result, str(tmp_path / "r"), strict=False)
-    lines = Path(paths["trace"]).read_text().splitlines()
-    assert lines[0] == "step,loss,grad_rms,update_rms,lr,elapsed_ms"
-    assert len(lines) == 9
-    assert "timing" not in paths
-    summary = Path(paths["summary"]).read_text()
-    assert "total_wall_ms" in summary
-
-
 def test_write_outputs_strict_mode(tmp_path):
     result = run(quad_config(steps=8))
-    paths = write_run_outputs(result, str(tmp_path / "r"), strict=True)
+    paths = write_run_outputs(result, str(tmp_path / "r"))
     lines = Path(paths["trace"]).read_text().splitlines()
     assert lines[0] == "step,loss,grad_rms,update_rms,lr"
     timing = Path(paths["timing"]).read_text().splitlines()
@@ -305,7 +294,7 @@ def test_strict_outputs_are_byte_identical_across_runs(tmp_path):
     blobs = []
     for tag in ("a", "b"):
         result = run(quad_config(steps=12))
-        paths = write_run_outputs(result, str(tmp_path / tag), strict=True)
+        paths = write_run_outputs(result, str(tmp_path / tag))
         blobs.append(
             (Path(paths["trace"]).read_bytes(), Path(paths["summary"]).read_bytes())
         )
