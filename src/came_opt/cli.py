@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from .memory_model import (
     _BUNDLED,
@@ -30,10 +30,10 @@ from .optimizers import VARIANTS, InvalidConfig, OptimizerConfig
 from .problems import PROBLEM_BUILDERS, build_problem, gradient_report
 from .runner import (
     RunConfig,
-    atomic_write_text,
     compare,
     run,
     write_compare_outputs,
+    write_outputs,
     write_run_outputs,
 )
 
@@ -191,15 +191,13 @@ def _cmd_run(opts: Dict[str, object]) -> int:
     )
     out_prefix = str(_require(opts, "out"))
     result = run(config)
-    paths = write_run_outputs(result, out_prefix)
     thr = result.steps_to_threshold
     print(
         f"final_loss={result.final_loss!r} best_loss={result.best_loss!r} "
         f"steps_to_threshold={'-' if thr is None else thr} "
         f"state_elements={result.state_elements} total_wall_ms={result.total_wall_ms!r}"
     )
-    for kind, path in paths.items():
-        print(f"wrote {kind}: {path}")
+    _write_outputs(write_run_outputs, result, out_prefix)
     return 0
 
 
@@ -222,9 +220,7 @@ def _cmd_compare(opts: Dict[str, object]) -> int:
     result = compare(configs, seeds)
     print(result.table())
     if opts["out"]:
-        paths = write_compare_outputs(result, str(opts["out"]))
-        for kind, path in paths.items():
-            print(f"wrote {kind}: {path}")
+        _write_outputs(write_compare_outputs, result, str(opts["out"]))
     return 0
 
 
@@ -263,10 +259,17 @@ def _cmd_memory(opts: Dict[str, object]) -> int:
     rep = report(manifest, baseline=baseline)
     print(render_table(rep))
     if opts["out"]:
-        path = f"{opts['out']}_memory.json"
-        atomic_write_text(path, rep.to_json() + "\n")
-        print(f"wrote report: {path}")
+        _write_outputs(write_outputs, str(opts["out"]), [("report", "_memory.json", [rep.to_json()])])
     return 0
+
+
+def _write_outputs(write: Callable[..., Dict[str, str]], *args) -> None:
+    try:
+        paths = write(*args)
+    except OSError as exc:  # a path under --out that cannot be written
+        raise InvalidConfig("out", str(exc)) from exc
+    for kind, path in paths.items():
+        print(f"wrote {kind}: {path}")
 
 
 def _emit_error(message: str, field: Optional[str] = None, **extra) -> None:

@@ -37,7 +37,6 @@ def rng_from_seed(seed: int) -> np.random.Generator:
 class SyntheticDataset:
     inputs: np.ndarray  # N x d
     targets: np.ndarray  # N x out
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -158,7 +157,7 @@ def make_logreg(n_samples: int = 512, n_features: int = 16, seed: int = 0) -> Pr
     w_star /= np.linalg.norm(w_star)
     noisy = x @ w_star + 1.0 * rng.standard_normal((n_samples, 1))
     y = (noisy > 0.0).astype(np.float64)
-    data = SyntheticDataset(inputs=x, targets=y, seed=seed)
+    data = SyntheticDataset(inputs=x, targets=y)
     n = float(n_samples)
 
     def loss(params: Params) -> float:
@@ -258,7 +257,7 @@ def make_mlp1(
     b2_t = 0.2 * rng.standard_normal((1, out_dim))
     y = np.tanh(x @ w1_t + b1_t) @ w2_t + b2_t
     y = y + 0.05 * rng.standard_normal((n_samples, out_dim))
-    data = SyntheticDataset(inputs=x, targets=y, seed=seed)
+    data = SyntheticDataset(inputs=x, targets=y)
     return mlp1_from_data(in_dim, hidden_dim, out_dim, data)
 
 

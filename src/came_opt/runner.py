@@ -198,13 +198,22 @@ def run(config: RunConfig) -> RunResult:
 # ---------------------------------------------------------------------------
 
 
-def atomic_write_text(path: str, text: str) -> None:
-    parent = os.path.dirname(os.path.abspath(path))
-    os.makedirs(parent, exist_ok=True)
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+def write_outputs(out_prefix: str, files: Sequence[Tuple[str, str, List[str]]]) -> Dict[str, str]:
+    """Write each (kind, suffix, lines) to out_prefix + suffix through a temp file that
+    is renamed into place, or removed if the write fails. Returns kind -> path written."""
+    paths = {}
+    for kind, suffix, lines in files:
+        paths[kind] = path = out_prefix + suffix
+        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+        tmp = f"{path}.tmp.{os.getpid()}"
+        try:
+            with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write("\n".join(lines) + "\n")
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.remove(tmp)
+    return paths
 
 
 def _fmt(x: float) -> str:
@@ -226,15 +235,11 @@ def write_run_outputs(result: RunResult, out_prefix: str) -> Dict[str, str]:
         rows.append(",".join([step, *map(_fmt, values)]))
         timing_rows.append(f"{step},{_fmt(trace.elapsed_ms[i])}")
     summary = json.dumps(result.summary_dict(), indent=2, sort_keys=True)
-    paths = {}
-    for kind, suffix, lines in (
+    return write_outputs(out_prefix, (
         ("trace", "_trace.csv", rows),
         ("summary", "_summary.json", [summary]),
         ("timing", "_timing.csv", timing_rows),
-    ):
-        paths[kind] = out_prefix + suffix
-        atomic_write_text(paths[kind], "\n".join(lines) + "\n")
-    return paths
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -391,9 +396,6 @@ def write_compare_outputs(result: CompareResult, out_prefix: str) -> Dict[str, s
     for i in range(result.steps):
         cells = [str(i + 1)] + [_fmt(result.median_curve[label][i]) for label in result.labels]
         rows.append(",".join(cells))
-    csv_path = f"{out_prefix}_compare.csv"
-    atomic_write_text(csv_path, "\n".join(rows) + "\n")
-
-    json_path = f"{out_prefix}_compare.json"
-    atomic_write_text(json_path, json.dumps(result.to_dict(), indent=2, sort_keys=True) + "\n")
-    return {"csv": csv_path, "json": json_path}
+    summary = json.dumps(result.to_dict(), indent=2, sort_keys=True)
+    files = (("csv", "_compare.csv", rows), ("json", "_compare.json", [summary]))
+    return write_outputs(out_prefix, files)

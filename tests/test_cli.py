@@ -217,6 +217,32 @@ def test_missing_out_is_reported(capsys):
     assert read_error(err)["field"] == "out"
 
 
+# each command's arguments, and the first file it writes under --out
+OUT_COMMANDS = {
+    "run": (("run", "--problem", "rosenbrock", "--steps", "3"), "_trace.csv"),
+    "compare": (("compare", "--problem", "rosenbrock", "--steps", "3"), "_compare.csv"),
+    "memory": (("memory",), "_memory.json"),
+}
+
+
+@pytest.mark.parametrize("blocked", ["prefix-under-a-file", "output-is-a-directory"])
+@pytest.mark.parametrize("command", sorted(OUT_COMMANDS))
+def test_unwritable_out_names_the_option_and_leaves_no_temp_file(
+    tmp_path, capsys, command, blocked
+):
+    argv, first_output = OUT_COMMANDS[command]
+    if blocked == "prefix-under-a-file":
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "x"
+    else:
+        out = tmp_path / "x"
+        Path(f"{out}{first_output}").mkdir()
+    code, _, err = run_cli(capsys, *argv, "--out", str(out))
+    assert code == 1
+    assert read_error(err)["field"] == "out"
+    assert not list(tmp_path.rglob("*.tmp.*"))
+
+
 def test_bad_problem_spec_reported(tmp_path, capsys):
     code, _, err = run_cli(
         capsys,

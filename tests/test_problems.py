@@ -142,9 +142,7 @@ def test_logreg_dataset_seed_contract():
 
 def test_mlp_zero_network_zero_targets():
     rng = rng_from_seed(0)
-    data = SyntheticDataset(
-        inputs=rng.standard_normal((32, 4)), targets=np.zeros((32, 2)), seed=0
-    )
+    data = SyntheticDataset(inputs=rng.standard_normal((32, 4)), targets=np.zeros((32, 2)))
     p = mlp1_from_data(4, 8, 2, data)
     zero = {
         "w1": np.zeros((4, 8)),

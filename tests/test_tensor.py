@@ -1,5 +1,7 @@
-"""The array helpers the step calls: `rms` (optimizers), and the row and column
-sums and the outer product `outer_quotient` (factored_moment)."""
+"""Array helpers: `rms` (optimizers), which the step's RMS clip calls; and, in
+factored_moment, the outer product `outer_quotient`, which `factored_reconstruct`
+calls, and the row and column sums, which only `nmf_rank1` calls: `factored_update`
+sums its squares with einsum."""
 
 import math
 
