@@ -1,12 +1,14 @@
-"""Print two sha256 digests per (optimizer, problem) of `came-bench run`.
+"""Print sha256 digests of `came-bench run` and `came-bench memory` outputs.
 
-Each line is `<trace digest>  <summary digest>  <optimizer>  <problem>`: the
-sha256 of the run's trace CSV, then of its summary JSON, over a fixed
+Each run line is `<trace digest>  <summary digest>  <optimizer>  <problem>`:
+the sha256 of the run's trace CSV, then of its summary JSON, over a fixed
 matrix of optimizers, problems, steps and seed. The two columns tell a moved
 trajectory (the trace) from a change to the summary's metadata alone.
 Neither file holds wall-clock time (that goes to the run's timing sidecar),
-so each digest is reproducible. `STRICT_DIGESTS.txt` at the repository root
-holds this output; a change that moves any trace regenerates it and says why:
+so each digest is reproducible. Each memory line is `<report digest>  memory
+<arguments>`: the sha256 of the memory report JSON for a few argument sets.
+`STRICT_DIGESTS.txt` at the repository root holds this output; a change that
+moves any of these bytes regenerates it and says why:
 
     python scripts/strict_digests.py > STRICT_DIGESTS.txt
 
@@ -41,23 +43,18 @@ PROBLEMS = (
     "mlp1:in_dim=256,hidden_dim=128,n_samples=64",  # a 256 x 128 factored matrix
 )
 RUN_FLAGS = ("--steps", "60", "--seed", "5", "--lr", "1e-3", "--warmup", "10")
+MEMORY_ARGS = ((), ("--scale", "4"), ("--width", "8", "--baseline", "adafactor"))
 
 
-def digests(cli, optimizer: str, problem: str, workdir: Path) -> Tuple[str, ...]:
-    """sha256 of the trace and of the summary of one run through the CLI."""
-    out = workdir / f"{optimizer}_{problem.replace(':', '_').replace(',', '_')}"
-    argv = ["run", "--problem", problem, "--optimizer", optimizer, *RUN_FLAGS, "--out", str(out)]
-    # a --src whose CLI still has this option (in CI, the parent of the change
-    # that retired it) writes wall-clock time into the trace and summary without it
-    if "strict_determinism" in cli._OPTIONS:
-        argv.append("--strict-determinism")
+def sha256_of_outputs(cli, argv, out: Path, suffixes) -> Tuple[str, ...]:
+    """Run the CLI with --out out, and return the sha256 of each out + suffix."""
+    argv = [*argv, "--out", str(out)]
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(argv)
     if code != 0:
         raise SystemExit(f"came-bench {' '.join(argv)} exited with {code}")
     return tuple(
-        hashlib.sha256(Path(f"{out}{suffix}").read_bytes()).hexdigest()
-        for suffix in ("_trace.csv", "_summary.json")
+        hashlib.sha256(Path(f"{out}{suffix}").read_bytes()).hexdigest() for suffix in suffixes
     )
 
 
@@ -74,8 +71,15 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as workdir:
         for problem in PROBLEMS:
             for optimizer in OPTIMIZERS:
-                trace, summary = digests(cli, optimizer, problem, Path(workdir))
+                out = Path(workdir) / f"{optimizer}_{problem.replace(':', '_').replace(',', '_')}"
+                argv = ["run", "--problem", problem, "--optimizer", optimizer, *RUN_FLAGS]
+                trace, summary = sha256_of_outputs(cli, argv, out, ("_trace.csv", "_summary.json"))
                 print(f"{trace}  {summary}  {optimizer}  {problem}")
+        for i, args in enumerate(MEMORY_ARGS):
+            (report,) = sha256_of_outputs(
+                cli, ["memory", *args], Path(workdir) / f"memory{i}", ("_memory.json",)
+            )
+            print(f"{report}  memory  {' '.join(args) or '(defaults)'}")
 
 
 if __name__ == "__main__":

@@ -17,19 +17,14 @@ import json
 import sys
 from typing import Callable, Dict, List, Optional, Sequence
 
-from .memory_model import (
-    _BUNDLED,
-    MEMORY_OPTIMIZERS,
-    bundled_manifest,
-    load_manifest,
-    render_table,
-    report,
-    scale_manifest,
-)
+from .memory_model import load_manifest, render_table, report, scale_manifest
 from .optimizers import VARIANTS, InvalidConfig, OptimizerConfig
 from .problems import PROBLEM_BUILDERS, build_problem, gradient_report
 from .runner import (
+    COMPARE_OUTPUTS,
+    RUN_OUTPUTS,
     RunConfig,
+    check_outputs,
     compare,
     run,
     write_compare_outputs,
@@ -190,6 +185,7 @@ def _cmd_run(opts: Dict[str, object]) -> int:
         threshold=opts["threshold"],
     )
     out_prefix = str(_require(opts, "out"))
+    _out_option(check_outputs, out_prefix, RUN_OUTPUTS)
     result = run(config)
     thr = result.steps_to_threshold
     print(
@@ -217,6 +213,8 @@ def _cmd_compare(opts: Dict[str, object]) -> int:
         )
         for name in optimizers
     ]
+    if opts["out"]:
+        _out_option(check_outputs, str(opts["out"]), COMPARE_OUTPUTS)
     result = compare(configs, seeds)
     print(result.table())
     if opts["out"]:
@@ -242,33 +240,31 @@ def _cmd_grad_check(opts: Dict[str, object]) -> int:
 
 
 def _cmd_memory(opts: Dict[str, object]) -> int:
-    name, baseline = str(opts["manifest"]), str(opts["baseline"])
-    width, scale = int(opts["width"]), int(opts["scale"])
-    for field, value in (("width", width), ("scale", scale)):
-        if value < 1:
-            raise InvalidConfig(field, f"must be a positive integer, got {value}")
-    if baseline not in MEMORY_OPTIMIZERS:
-        raise InvalidConfig("baseline", f"expected one of {MEMORY_OPTIMIZERS}, got {baseline!r}")
-    load = bundled_manifest if name in _BUNDLED else load_manifest
+    outputs = {"report": "_memory.json"}
+    if opts["out"]:
+        _out_option(check_outputs, str(opts["out"]), outputs)
     try:
-        manifest = load(name, element_width_bytes=width)
+        manifest = load_manifest(str(opts["manifest"]))
     except (OSError, ValueError) as exc:
         raise InvalidConfig("manifest", str(exc)) from exc
-    if scale != 1:
-        manifest = scale_manifest(manifest, scale)
-    rep = report(manifest, baseline=baseline)
+    manifest = scale_manifest(manifest, int(opts["scale"]))
+    rep = report(manifest, baseline=str(opts["baseline"]), width=int(opts["width"]))
     print(render_table(rep))
     if opts["out"]:
-        _write_outputs(write_outputs, str(opts["out"]), [("report", "_memory.json", [rep.to_json()])])
+        _write_outputs(write_outputs, str(opts["out"]), outputs, {"report": [rep.to_json()]})
     return 0
 
 
-def _write_outputs(write: Callable[..., Dict[str, str]], *args) -> None:
+def _out_option(call: Callable[..., object], *args) -> object:
+    # a path under --out that cannot be written: checked before any work, and when written
     try:
-        paths = write(*args)
-    except OSError as exc:  # a path under --out that cannot be written
+        return call(*args)
+    except OSError as exc:
         raise InvalidConfig("out", str(exc)) from exc
-    for kind, path in paths.items():
+
+
+def _write_outputs(write: Callable[..., Dict[str, str]], *args) -> None:
+    for kind, path in _out_option(write, *args).items():
         print(f"wrote {kind}: {path}")
 
 
@@ -293,7 +289,7 @@ _COMMANDS: Dict[str, tuple] = {
     "compare": (
         _cmd_compare,
         "run several optimizers over the same problem and seeds",
-        "set CAME_OPT_THREADS>1 to run (optimizer, seed) pairs in parallel. " + CONFIG_HELP,
+        CONFIG_HELP,
         ("problem", "optimizer", "steps", "seeds", "threshold", "out", *_HYPER),
         {"optimizer": "came,adafactor"},
     ),

@@ -8,7 +8,8 @@ be compared across optimizers and manifests.
 
 Manifest file format: one entry per line, ``name dim`` or ``name dim dim``,
 with ``#`` starting a comment. A bundled manifest approximating BERT-Large
-ships with the package.
+ships with the package; `load_manifest` reads it by name, and any other name
+as a file path.
 """
 
 from __future__ import annotations
@@ -17,9 +18,11 @@ import json
 import math
 from dataclasses import asdict, dataclass
 from importlib import resources
+from pathlib import Path
 from typing import Dict, Tuple
 
-from .optimizers import state_shapes
+from . import optimizers
+from .optimizers import InvalidConfig, require_integer
 
 ManifestEntry = Tuple[str, Tuple[int, ...]]
 
@@ -33,19 +36,16 @@ _LAYOUT_OF = {
 }
 MEMORY_OPTIMIZERS = tuple(_LAYOUT_OF)
 
-_BUNDLED = {"bert-large": "bert_large.txt"}
+_MANIFEST_FILES = {"bert-large": "bert_large.txt"}
 
 
 @dataclass(frozen=True)
 class ShapeManifest:
     entries: Tuple[ManifestEntry, ...]
-    element_width_bytes: int = 4
 
     def __post_init__(self):
         if not self.entries:
             raise ValueError("manifest must contain at least one entry")
-        if self.element_width_bytes < 1:
-            raise ValueError("element_width_bytes must be positive")
         for name, dims in self.entries:
             if len(dims) not in (1, 2) or any(d < 1 for d in dims):
                 raise ValueError(f"entry {name!r} has invalid dims {dims}")
@@ -57,15 +57,13 @@ class ShapeManifest:
 def state_elements(optimizer: str, dims: Tuple[int, ...]) -> int:
     """Persistent state elements one optimizer keeps for a parameter of dims.
 
-    The count of the arrays `optimizers.state_shapes` lays out. lamb keeps
-    the same two full moments as adam; sm3 (momentum plus row/column covers)
-    is counted with adafactor's footprint.
+    `optimizers.state_elements` of the variant whose layout it shares: lamb
+    keeps the same two full moments as adam; sm3 (momentum plus row/column
+    covers) is counted with adafactor's footprint.
     """
     if optimizer not in MEMORY_OPTIMIZERS:
-        raise ValueError(
-            f"unknown optimizer {optimizer!r}, expected one of {MEMORY_OPTIMIZERS}"
-        )
-    return sum(math.prod(shape) for shape in state_shapes(_LAYOUT_OF[optimizer], dims).values())
+        raise ValueError(f"unknown optimizer {optimizer!r}, expected one of {MEMORY_OPTIMIZERS}")
+    return optimizers.state_elements(_LAYOUT_OF[optimizer], dims)
 
 
 @dataclass(frozen=True)
@@ -82,10 +80,14 @@ class MemoryReport:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
-def report(manifest: ShapeManifest, baseline: str = "adam") -> MemoryReport:
-    """Aggregate state elements over a manifest for every modeled optimizer."""
+def report(manifest: ShapeManifest, baseline: str = "adam", width: int = 4) -> MemoryReport:
+    """Aggregate state elements, of width bytes each, over a manifest for every modeled
+    optimizer. An unknown baseline or a width below 1 raises InvalidConfig naming it."""
     if baseline not in MEMORY_OPTIMIZERS:
-        raise ValueError(f"unknown baseline {baseline!r}")
+        raise InvalidConfig(
+            "baseline", f"unknown baseline {baseline!r}, expected one of {MEMORY_OPTIMIZERS}"
+        )
+    require_integer("width", width, 1)
     breakdown: Dict[str, Dict[str, int]] = {}
     totals: Dict[str, int] = {}
     for opt in MEMORY_OPTIMIZERS:
@@ -94,7 +96,6 @@ def report(manifest: ShapeManifest, baseline: str = "adam") -> MemoryReport:
             per_entry[name] = per_entry.get(name, 0) + state_elements(opt, dims)
         breakdown[opt] = per_entry
         totals[opt] = sum(per_entry.values())
-    width = manifest.element_width_bytes
     base = totals[baseline]
     return MemoryReport(
         baseline=baseline,
@@ -124,7 +125,7 @@ def render_table(rep: MemoryReport) -> str:
     return "\n".join(lines)
 
 
-def parse_manifest(text: str, element_width_bytes: int = 4) -> ShapeManifest:
+def parse_manifest(text: str) -> ShapeManifest:
     entries = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -141,26 +142,22 @@ def parse_manifest(text: str, element_width_bytes: int = 4) -> ShapeManifest:
         except ValueError as exc:
             raise ValueError(f"manifest line {lineno}: bad dimension in {raw!r}") from exc
         entries.append((name, dims))
-    return ShapeManifest(entries=tuple(entries), element_width_bytes=element_width_bytes)
+    return ShapeManifest(entries=tuple(entries))
 
 
-def load_manifest(path: str, element_width_bytes: int = 4) -> ShapeManifest:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_manifest(fh.read(), element_width_bytes)
-
-
-def bundled_manifest(name: str = "bert-large", element_width_bytes: int = 4) -> ShapeManifest:
-    if name not in _BUNDLED:
-        raise ValueError(f"unknown bundled manifest {name!r}, have {sorted(_BUNDLED)}")
-    text = (resources.files("came_opt") / "manifests" / _BUNDLED[name]).read_text("utf-8")
-    return parse_manifest(text, element_width_bytes)
+def load_manifest(name: str = "bert-large") -> ShapeManifest:
+    """The bundled manifest of that name, or else the manifest file at that path."""
+    if name in _MANIFEST_FILES:
+        source = resources.files("came_opt") / "manifests" / _MANIFEST_FILES[name]
+    else:
+        source = Path(name)
+    return parse_manifest(source.read_text("utf-8"))
 
 
 def scale_manifest(manifest: ShapeManifest, factor: int) -> ShapeManifest:
     """Multiply every dimension by an integer factor (model-growth thought experiment)."""
-    if factor < 1 or factor != int(factor):
-        raise ValueError(f"scale factor must be a positive integer, got {factor}")
+    require_integer("scale", factor, 1)
     scaled = tuple(
         (name, tuple(d * int(factor) for d in dims)) for name, dims in manifest.entries
     )
-    return ShapeManifest(entries=scaled, element_width_bytes=manifest.element_width_bytes)
+    return ShapeManifest(entries=scaled)

@@ -118,12 +118,13 @@ def state_shapes(variant: str, dims: Tuple[int, ...]) -> Dict[str, Tuple[int, in
     """The persistent state one parameter of logical dims needs: field -> storage shape.
 
     The only place the layout rule lives: `make_state` allocates these
-    arrays, and `memory_model` and the runner count them. Every variant keeps
-    a parameter-shaped momentum `m`. adam keeps a parameter-shaped second
-    moment `v`. adafactor and raw_confidence keep the second moment, and came
-    also its instability average `s`, factored (`*_row` n x 1, `*_col` 1 x m)
-    when n and m both exceed 1, and else full: a vector's factored averages
-    rebuild its full average exactly (for n x 1, c_1 = sum_i r_i), in more entries.
+    arrays, and `state_elements` counts them for `memory_model` and the
+    runner. Every variant keeps a parameter-shaped momentum `m`. adam keeps a
+    parameter-shaped second moment `v`. adafactor and raw_confidence keep the
+    second moment, and came also its instability average `s`, factored
+    (`*_row` n x 1, `*_col` 1 x m) when n and m both exceed 1, and else full:
+    a vector's factored averages rebuild its full average exactly (for n x 1,
+    c_1 = sum_i r_i), in more entries.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown optimizer {variant!r}, expected one of {VARIANTS}")
@@ -141,6 +142,11 @@ def state_shapes(variant: str, dims: Tuple[int, ...]) -> Dict[str, Tuple[int, in
         else:
             shapes[name] = (rows, cols)
     return shapes
+
+
+def state_elements(variant: str, dims: Tuple[int, ...]) -> int:
+    """The number of elements in the arrays `state_shapes` lays out for dims."""
+    return sum(math.prod(shape) for shape in state_shapes(variant, dims).values())
 
 
 @dataclass

@@ -14,7 +14,6 @@ import math
 import os
 import statistics
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -26,7 +25,7 @@ from .optimizers import (
     OptimizerConfig,
     make_state,
     require_integer,
-    state_shapes,
+    state_elements,
     step_param,
     warmup_lr,
 )
@@ -184,11 +183,7 @@ def run(config: RunConfig) -> RunResult:
         final_loss=final_loss,
         best_loss=min(float(loss_rec.min()), final_loss),
         steps_to_threshold=steps_to,
-        state_elements=sum(
-            math.prod(shape)
-            for _, dims in problem.param_specs
-            for shape in state_shapes(config.optimizer, dims).values()
-        ),
+        state_elements=sum(state_elements(config.optimizer, d) for _, d in problem.param_specs),
         total_wall_ms=total_ms,
     )
 
@@ -198,17 +193,32 @@ def run(config: RunConfig) -> RunResult:
 # ---------------------------------------------------------------------------
 
 
-def write_outputs(out_prefix: str, files: Sequence[Tuple[str, str, List[str]]]) -> Dict[str, str]:
-    """Write each (kind, suffix, lines) to out_prefix + suffix through a temp file that
-    is renamed into place, or removed if the write fails. Returns kind -> path written."""
-    paths = {}
-    for kind, suffix, lines in files:
-        paths[kind] = path = out_prefix + suffix
+# each writer's files: kind -> the suffix its path adds to the output prefix
+RUN_OUTPUTS = {"trace": "_trace.csv", "summary": "_summary.json", "timing": "_timing.csv"}
+COMPARE_OUTPUTS = {"csv": "_compare.csv", "json": "_compare.json"}
+
+
+def check_outputs(out_prefix: str, suffixes: Dict[str, str]) -> Dict[str, str]:
+    """Create each path's directory and return kind -> path; OSError if a path is a directory."""
+    paths = {kind: out_prefix + suffix for kind, suffix in suffixes.items()}
+    for path in paths.values():
         os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+        if os.path.isdir(path):
+            raise IsADirectoryError(f"{path} is a directory")
+    return paths
+
+
+def write_outputs(
+    out_prefix: str, suffixes: Dict[str, str], lines: Dict[str, List[str]]
+) -> Dict[str, str]:
+    """Write each kind's lines to out_prefix + its suffix through a temp file that is
+    renamed into place, or removed if the write fails. Returns kind -> path written."""
+    paths = check_outputs(out_prefix, suffixes)
+    for kind, path in paths.items():
         tmp = f"{path}.tmp.{os.getpid()}"
         try:
             with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write("\n".join(lines) + "\n")
+                fh.write("\n".join(lines[kind]) + "\n")
             os.replace(tmp, path)
         finally:
             if os.path.exists(tmp):
@@ -235,11 +245,9 @@ def write_run_outputs(result: RunResult, out_prefix: str) -> Dict[str, str]:
         rows.append(",".join([step, *map(_fmt, values)]))
         timing_rows.append(f"{step},{_fmt(trace.elapsed_ms[i])}")
     summary = json.dumps(result.summary_dict(), indent=2, sort_keys=True)
-    return write_outputs(out_prefix, (
-        ("trace", "_trace.csv", rows),
-        ("summary", "_summary.json", [summary]),
-        ("timing", "_timing.csv", timing_rows),
-    ))
+    return write_outputs(
+        out_prefix, RUN_OUTPUTS, {"trace": rows, "summary": [summary], "timing": timing_rows}
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -291,23 +299,12 @@ class CompareResult:
         return "\n".join(lines)
 
 
-def _worker_count(n_jobs: int) -> int:
-    raw = os.environ.get("CAME_OPT_THREADS", "1")
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"CAME_OPT_THREADS must be an integer, got {raw!r}") from exc
-    return max(1, min(cap, n_jobs))
-
-
 def compare(configs: Sequence[RunConfig], seeds: Sequence[int]) -> CompareResult:
     """Run every (config, seed) pair and summarize relative performance.
 
     All configs must share the problem, its arguments, and the step count.
-    Runs are independent; CAME_OPT_THREADS > 1 executes them in worker
-    processes, with results ordered deterministically either way. No configs
-    raise InvalidConfig("optimizer"); no seeds, or a seed that is not a
-    nonnegative integer or is repeated, raise InvalidConfig("seeds").
+    No configs raise InvalidConfig("optimizer"); no seeds, or a seed that is
+    not a nonnegative integer or is repeated, raise InvalidConfig("seeds").
     """
     if not configs:
         raise InvalidConfig("optimizer", "expected at least one optimizer config")
@@ -331,22 +328,12 @@ def compare(configs: Sequence[RunConfig], seeds: Sequence[int]) -> CompareResult
         seen[base] = seen.get(base, 0) + 1
         labels.append(base if seen[base] == 1 else f"{base}#{seen[base]}")
 
-    jobs = [replace(cfg, seed=int(s)) for cfg in configs for s in seeds]
-    workers = _worker_count(len(jobs))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, jobs))
-    else:
-        results = [run(job) for job in jobs]
-
     final_losses: Dict[str, Dict[int, float]] = {label: {} for label in labels}
     steps_to: Dict[str, Dict[int, Optional[int]]] = {label: {} for label in labels}
     curves: Dict[str, List[np.ndarray]] = {label: [] for label in labels}
-    idx = 0
-    for label in labels:
+    for label, cfg in zip(labels, configs):
         for s in seeds:
-            res = results[idx]
-            idx += 1
+            res = run(replace(cfg, seed=int(s)))
             final_losses[label][int(s)] = res.final_loss
             steps_to[label][int(s)] = res.steps_to_threshold
             curves[label].append(res.trace.loss)
@@ -356,9 +343,7 @@ def compare(configs: Sequence[RunConfig], seeds: Sequence[int]) -> CompareResult
     }
     median_thr: Dict[str, Optional[float]] = {}
     for label in labels:
-        values = [
-            math.inf if v is None else float(v) for v in steps_to[label].values()
-        ]
+        values = [math.inf if v is None else float(v) for v in steps_to[label].values()]
         med = statistics.median(values)
         median_thr[label] = None if math.isinf(med) else med
 
@@ -367,11 +352,7 @@ def compare(configs: Sequence[RunConfig], seeds: Sequence[int]) -> CompareResult
         for b in labels:
             if a == b:
                 continue
-            wins[a][b] = sum(
-                1
-                for s in seeds
-                if final_losses[a][int(s)] < final_losses[b][int(s)]
-            )
+            wins[a][b] = sum(final_losses[a][int(s)] < final_losses[b][int(s)] for s in seeds)
 
     median_curve = {
         label: np.median(np.stack(curves[label], axis=0), axis=0) for label in labels
@@ -397,5 +378,4 @@ def write_compare_outputs(result: CompareResult, out_prefix: str) -> Dict[str, s
         cells = [str(i + 1)] + [_fmt(result.median_curve[label][i]) for label in result.labels]
         rows.append(",".join(cells))
     summary = json.dumps(result.to_dict(), indent=2, sort_keys=True)
-    files = (("csv", "_compare.csv", rows), ("json", "_compare.json", [summary]))
-    return write_outputs(out_prefix, files)
+    return write_outputs(out_prefix, COMPARE_OUTPUTS, {"csv": rows, "json": [summary]})

@@ -12,7 +12,7 @@ import numpy as np
 
 from came_opt.cli import main as cli_main
 from came_opt.factored_moment import col_sums, generalized_kl, nmf_rank1, row_sums
-from came_opt.memory_model import bundled_manifest, report, scale_manifest
+from came_opt.memory_model import load_manifest, report, scale_manifest
 from came_opt.optimizers import (
     OptimizerConfig,
     make_state,
@@ -203,14 +203,14 @@ def test_criterion_6_convergence_ordering():
 
 def test_criterion_7_memory_model():
     started = time.perf_counter()
-    rep = report(bundled_manifest(), baseline="adam")
+    rep = report(load_manifest(), baseline="adam")
     ordering = (
         rep.totals["adafactor"] < rep.totals["came"] < rep.totals["adam"]
         and rep.totals["adam"] == rep.totals["lamb"]
     )
     overhead = (rep.totals["came"] - rep.totals["adafactor"]) / rep.totals["adafactor"]
     ratio = rep.ratios["came"]
-    rep4 = report(scale_manifest(bundled_manifest(), 4), baseline="adam")
+    rep4 = report(scale_manifest(load_manifest(), 4), baseline="adam")
     reduction4 = 1.0 - rep4.ratios["came"]
     elapsed = time.perf_counter() - started
     _report(

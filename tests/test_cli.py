@@ -237,8 +237,9 @@ def test_unwritable_out_names_the_option_and_leaves_no_temp_file(
     else:
         out = tmp_path / "x"
         Path(f"{out}{first_output}").mkdir()
-    code, _, err = run_cli(capsys, *argv, "--out", str(out))
+    code, stdout, err = run_cli(capsys, *argv, "--out", str(out))
     assert code == 1
+    assert stdout == ""  # found before any work
     assert read_error(err)["field"] == "out"
     assert not list(tmp_path.rglob("*.tmp.*"))
 

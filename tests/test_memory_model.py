@@ -6,7 +6,6 @@ import pytest
 from came_opt.memory_model import (
     MEMORY_OPTIMIZERS,
     ShapeManifest,
-    bundled_manifest,
     load_manifest,
     parse_manifest,
     render_table,
@@ -14,6 +13,7 @@ from came_opt.memory_model import (
     scale_manifest,
     state_elements,
 )
+from came_opt.optimizers import InvalidConfig
 
 
 # ---------------------------------------------------------------------------
@@ -113,19 +113,22 @@ def test_parse_manifest_errors():
 def test_load_manifest_roundtrip(tmp_path):
     path = tmp_path / "m.txt"
     path.write_text("w 8 4\nb 4\n")
-    man = load_manifest(str(path), element_width_bytes=8)
+    man = load_manifest(str(path))
     assert man.entries == (("w", (8, 4)), ("b", (4,)))
-    assert man.element_width_bytes == 8
+    rep = report(man, width=8)
+    assert rep.element_width_bytes == 8
+    assert rep.total_bytes == {opt: count * 8 for opt, count in rep.totals.items()}
 
 
 def test_bundled_manifest_shape():
-    man = bundled_manifest()
+    man = load_manifest()
     assert man.total_parameters() == 334_092_288
     names = [name for name, _ in man.entries]
     assert "token_embeddings" in names
     assert sum(1 for n in names if n.startswith("layer")) == 24 * 16
-    with pytest.raises(ValueError, match="unknown bundled manifest"):
-        bundled_manifest("gpt-17")
+    # a name that is not bundled is read as a file path
+    with pytest.raises(OSError):
+        load_manifest("gpt-17")
 
 
 def test_scale_manifest():
@@ -149,7 +152,7 @@ def test_report_single_scalar_entry_adam_baseline():
 
 
 def test_report_totals_match_breakdown_and_bytes():
-    man = parse_manifest("w 32 16\nb 16\nv 16 1\n", element_width_bytes=4)
+    man = parse_manifest("w 32 16\nb 16\nv 16 1\n")
     rep = report(man, baseline="adam")
     for opt in MEMORY_OPTIMIZERS:
         assert rep.totals[opt] == sum(rep.breakdown[opt].values())
@@ -170,6 +173,18 @@ def test_report_rejects_unknown_baseline():
         report(man, baseline="rmsprop")
 
 
+def test_report_and_scale_name_the_bad_input():
+    man = ShapeManifest(entries=(("p", (4, 4)),))
+    for call, field in (
+        (lambda: report(man, baseline="rmsprop"), "baseline"),
+        (lambda: report(man, width=0), "width"),
+        (lambda: scale_manifest(man, 0), "scale"),
+    ):
+        with pytest.raises(InvalidConfig) as info:
+            call()
+        assert info.value.field == field
+
+
 def test_scaling_trend():
     # baseline memory grows ~k^2 while the factored overhead grows ~k
     man = parse_manifest("w 128 256\n")
@@ -183,7 +198,7 @@ def test_scaling_trend():
 
 
 def test_render_table_lists_all_optimizers():
-    man = bundled_manifest()
+    man = load_manifest()
     table = render_table(report(man))
     for opt in MEMORY_OPTIMIZERS:
         assert opt in table

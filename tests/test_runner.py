@@ -376,18 +376,6 @@ def test_compare_threshold_median():
     assert result.median_steps_to_threshold["came"] is not None
 
 
-def test_compare_parallel_matches_serial(monkeypatch):
-    configs = [quad_config(optimizer="came"), quad_config(optimizer="adam")]
-    monkeypatch.delenv("CAME_OPT_THREADS", raising=False)
-    serial = compare(configs, seeds=[1, 2])
-    monkeypatch.setenv("CAME_OPT_THREADS", "2")
-    parallel = compare(configs, seeds=[1, 2])
-    assert serial.final_losses == parallel.final_losses
-    monkeypatch.setenv("CAME_OPT_THREADS", "zebra")
-    with pytest.raises(ValueError, match="CAME_OPT_THREADS"):
-        compare(configs, seeds=[1, 2])
-
-
 def test_write_compare_outputs(tmp_path):
     result = compare(
         [quad_config(optimizer="came"), quad_config(optimizer="adafactor")], seeds=[1]
