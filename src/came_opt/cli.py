@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .memory_model import load_manifest, render_table, report, scale_manifest
 from .optimizers import VARIANTS, InvalidConfig, OptimizerConfig
@@ -41,14 +41,16 @@ CONFIG_HELP = (
 
 def _parse_seeds(text: str) -> List[int]:
     try:
-        return [int(part) for part in str(text).split(",") if part.strip() != ""]
+        return [int(part) for part in text.split(",") if part.strip() != ""]
     except ValueError as exc:
         raise InvalidConfig("seeds", f"expected comma-separated integers, got {text!r}") from exc
 
 
-def _parse_problem_spec(text: str):
-    """'name' or 'name:key=value,key=value' with numeric values."""
-    name, _, tail = str(text).partition(":")
+def _parse_problem_spec(text: str) -> Optional[Tuple[str, Dict[str, object]]]:
+    """'name' or 'name:key=value,key=value' with numeric values; '' leaves it unset."""
+    if not text:
+        return None
+    name, _, tail = text.partition(":")
     args: Dict[str, object] = {}
     if tail:
         for piece in tail.split(","):
@@ -75,35 +77,32 @@ def _parse_problem_spec(text: str):
     return name.strip(), args
 
 
-# Every option: name -> (flag, parser from string, default, help). The name
-# is also the config-file key and the argparse dest.
-_CFG_DEFAULTS = OptimizerConfig()
-
+# Every option: name -> (parser from string, help). The name is also the
+# config-file key, and its flag is "--" + name with dashes for underscores.
+# An option set nowhere is not passed on, so the library's default applies.
 _OPTIONS: Dict[str, tuple] = {
-    "problem": ("--problem", str, None, "problem id, optionally 'id:key=val,...'"),
-    "optimizer": (
-        "--optimizer", str, "came", f"one of {', '.join(VARIANTS)} (comma list for compare)"
-    ),
-    "steps": ("--steps", int, 1000, "number of optimization steps"),
-    "seed": ("--seed", int, 0, "integer seed (PCG64 stream)"),
-    "seeds": ("--seeds", str, "0", "comma-separated seeds for compare"),
-    "threshold": ("--threshold", float, None, "loss threshold for steps-to-threshold"),
-    "out": ("--out", str, None, "output path prefix"),
-    "lr": ("--lr", float, _CFG_DEFAULTS.lr, "learning rate"),
-    "beta1": ("--beta1", float, _CFG_DEFAULTS.beta1, "momentum decay"),
-    "beta2": ("--beta2", float, _CFG_DEFAULTS.beta2, "second-moment decay"),
-    "beta3": ("--beta3", float, _CFG_DEFAULTS.beta3, "instability decay (came)"),
-    "eps1": ("--eps1", float, _CFG_DEFAULTS.eps1, "second-moment regularizer"),
-    "eps2": ("--eps2", float, _CFG_DEFAULTS.eps2, "instability regularizer (came)"),
-    "eps3": ("--eps3", float, _CFG_DEFAULTS.eps3, "raw-confidence regularizer"),
-    "clip_d": ("--clip-d", float, _CFG_DEFAULTS.clip_d, "RMS clip threshold"),
-    "warmup": ("--warmup", int, _CFG_DEFAULTS.warmup_steps, "linear warmup steps"),
-    "points": ("--points", int, 10, "number of random check points"),
-    "tolerance": ("--tolerance", float, 1e-6, "max allowed relative gradient error"),
-    "manifest": ("--manifest", str, "bert-large", "bundled manifest name or file path"),
-    "baseline": ("--baseline", str, "adam", "baseline optimizer for ratios"),
-    "scale": ("--scale", int, 1, "integer factor applied to every manifest dim"),
-    "width": ("--width", int, 4, "bytes per state element"),
+    "problem": (_parse_problem_spec, "problem id, optionally 'id:key=val,...'"),
+    "optimizer": (str, f"one of {', '.join(VARIANTS)} (comma list for compare)"),
+    "steps": (int, "number of optimization steps"),
+    "seed": (int, "integer seed (PCG64 stream)"),
+    "seeds": (_parse_seeds, "comma-separated seeds for compare"),
+    "threshold": (float, "loss threshold for steps-to-threshold"),
+    "out": (str, "output path prefix"),
+    "lr": (float, "learning rate"),
+    "beta1": (float, "momentum decay"),
+    "beta2": (float, "second-moment decay"),
+    "beta3": (float, "instability decay (came)"),
+    "eps1": (float, "second-moment regularizer"),
+    "eps2": (float, "instability regularizer (came)"),
+    "eps3": (float, "raw-confidence regularizer"),
+    "clip_d": (float, "RMS clip threshold"),
+    "warmup": (int, "linear warmup steps"),
+    "points": (int, "number of random check points"),
+    "tolerance": (float, "max allowed relative gradient error"),
+    "manifest": (str, "bundled manifest name or file path"),
+    "baseline": (str, "baseline optimizer for ratios"),
+    "scale": (int, "integer factor applied to every manifest dim"),
+    "width": (int, "bytes per state element"),
 }
 
 # The OptimizerConfig options; each name is its config field, except as renamed here.
@@ -135,7 +134,7 @@ def _load_config_file(path: str, allowed: Sequence[str]) -> Dict[str, object]:
 def _parse_option(name: str, text: str, where: str = "") -> object:
     # flags and config files share the parsers, and a bad value names its option
     try:
-        return _OPTIONS[name][1](text)
+        return _OPTIONS[name][0](text)
     except InvalidConfig:
         raise
     except ValueError as exc:
@@ -143,24 +142,30 @@ def _parse_option(name: str, text: str, where: str = "") -> object:
 
 
 def _resolve(args: argparse.Namespace) -> Dict[str, object]:
+    """The parsed options set by flag, config file or the command's own defaults."""
     _, _, _, names, defaults = _COMMANDS[args.command]
-    merged = {name: _OPTIONS[name][2] for name in names}
-    merged.update(defaults)
+    merged = dict(defaults)
     if args.config:
         try:
             merged.update(_load_config_file(args.config, names))
         except (OSError, UnicodeDecodeError) as exc:
             raise InvalidConfig("config", str(exc)) from exc
     for name in names:
-        flag_value = getattr(args, name, None)
+        flag_value = getattr(args, name)
         if flag_value is not None:
             merged[name] = _parse_option(name, flag_value)
     return merged
 
 
+def _given(opts: Dict[str, object], *names: str) -> Dict[str, object]:
+    """The named options that are set; a library call's own defaults fill the rest."""
+    return {name: opts[name] for name in names if name in opts}
+
+
 def _optimizer_config(opts: Dict[str, object]) -> OptimizerConfig:
+    fields = {_HYPER_FIELD.get(name, name): value for name, value in _given(opts, *_HYPER).items()}
     try:
-        return OptimizerConfig(**{_HYPER_FIELD.get(name, name): opts[name] for name in _HYPER})
+        return OptimizerConfig(**fields)
     except InvalidConfig as exc:
         # a renamed field is reported under the option the user set
         option = {field: name for name, field in _HYPER_FIELD.items()}.get(exc.field, exc.field)
@@ -173,18 +178,20 @@ def _require(opts: Dict[str, object], name: str) -> object:
     return opts[name]
 
 
+def _run_configs(opts: Dict[str, object], optimizers: Sequence[str]) -> List[RunConfig]:
+    """One RunConfig per optimizer name, all from the same options."""
+    problem, problem_args = _require(opts, "problem")
+    opt = _optimizer_config(opts)
+    given = _given(opts, "steps", "seed", "threshold")  # steps: a command default, always set
+    return [
+        RunConfig(problem=problem, optimizer=name, problem_args=problem_args, opt=opt, **given)
+        for name in optimizers
+    ]
+
+
 def _cmd_run(opts: Dict[str, object]) -> int:
-    problem_name, problem_args = _parse_problem_spec(_require(opts, "problem"))
-    config = RunConfig(
-        problem=problem_name,
-        problem_args=problem_args,
-        optimizer=str(opts["optimizer"]),
-        steps=int(opts["steps"]),
-        seed=int(opts["seed"]),
-        opt=_optimizer_config(opts),
-        threshold=opts["threshold"],
-    )
-    out_prefix = str(_require(opts, "out"))
+    (config,) = _run_configs(opts, [opts["optimizer"]])
+    out_prefix = _require(opts, "out")
     _out_option(check_outputs, out_prefix, RUN_OUTPUTS)
     result = run(config)
     thr = result.steps_to_threshold
@@ -198,39 +205,19 @@ def _cmd_run(opts: Dict[str, object]) -> int:
 
 
 def _cmd_compare(opts: Dict[str, object]) -> int:
-    problem_name, problem_args = _parse_problem_spec(_require(opts, "problem"))
-    optimizers = [o.strip() for o in str(opts["optimizer"]).split(",") if o.strip()]
-    seeds = _parse_seeds(str(opts["seeds"]))
-    opt_cfg = _optimizer_config(opts)
-    configs = [
-        RunConfig(
-            problem=problem_name,
-            problem_args=problem_args,
-            optimizer=name,
-            steps=int(opts["steps"]),
-            opt=opt_cfg,
-            threshold=opts["threshold"],
-        )
-        for name in optimizers
-    ]
-    if opts["out"]:
-        _out_option(check_outputs, str(opts["out"]), COMPARE_OUTPUTS)
-    result = compare(configs, seeds)
+    configs = _run_configs(opts, [o.strip() for o in opts["optimizer"].split(",") if o.strip()])
+    if opts.get("out"):
+        _out_option(check_outputs, opts["out"], COMPARE_OUTPUTS)
+    result = compare(configs, opts["seeds"])
     print(result.table())
-    if opts["out"]:
-        _write_outputs(write_compare_outputs, result, str(opts["out"]))
+    if opts.get("out"):
+        _write_outputs(write_compare_outputs, result, opts["out"])
     return 0
 
 
 def _cmd_grad_check(opts: Dict[str, object]) -> int:
-    problem_name, problem_args = _parse_problem_spec(_require(opts, "problem"))
-    problem = build_problem(problem_name, problem_args)
-    rep = gradient_report(
-        problem,
-        points=int(opts["points"]),
-        tolerance=float(opts["tolerance"]),
-        seed=int(opts["seed"]),
-    )
+    problem = build_problem(*_require(opts, "problem"))
+    rep = gradient_report(problem, **_given(opts, "points", "tolerance", "seed"))
     for line in rep.lines():
         print(line)
     if not rep.passed:
@@ -241,17 +228,16 @@ def _cmd_grad_check(opts: Dict[str, object]) -> int:
 
 def _cmd_memory(opts: Dict[str, object]) -> int:
     outputs = {"report": "_memory.json"}
-    if opts["out"]:
-        _out_option(check_outputs, str(opts["out"]), outputs)
+    if opts.get("out"):
+        _out_option(check_outputs, opts["out"], outputs)
     try:
-        manifest = load_manifest(str(opts["manifest"]))
+        manifest = load_manifest(**_given(opts, "manifest"))
     except (OSError, ValueError) as exc:
         raise InvalidConfig("manifest", str(exc)) from exc
-    manifest = scale_manifest(manifest, int(opts["scale"]))
-    rep = report(manifest, baseline=str(opts["baseline"]), width=int(opts["width"]))
+    rep = report(scale_manifest(manifest, opts["scale"]), **_given(opts, "baseline", "width"))
     print(render_table(rep))
-    if opts["out"]:
-        _write_outputs(write_outputs, str(opts["out"]), outputs, {"report": [rep.to_json()]})
+    if opts.get("out"):
+        _write_outputs(write_outputs, opts["out"], outputs, {"report": [rep.to_json()]})
     return 0
 
 
@@ -277,35 +263,35 @@ def _emit_error(message: str, field: Optional[str] = None, **extra) -> None:
 
 
 # Each subcommand: (handler, help, epilog, its options in help order, its own
-# defaults). The option names are also its config-file keys.
+# parsed defaults, for the options no library call defaults).
 _COMMANDS: Dict[str, tuple] = {
     "run": (
         _cmd_run,
         "train one problem with one optimizer, writing trace, summary and timing files",
         f"problems: {', '.join(sorted(PROBLEM_BUILDERS))}. {CONFIG_HELP}",
         ("problem", "optimizer", "steps", "seed", "threshold", "out", *_HYPER),
-        {},
+        {"optimizer": "came", "steps": 1000},
     ),
     "compare": (
         _cmd_compare,
         "run several optimizers over the same problem and seeds",
         CONFIG_HELP,
         ("problem", "optimizer", "steps", "seeds", "threshold", "out", *_HYPER),
-        {"optimizer": "came,adafactor"},
+        {"optimizer": "came,adafactor", "steps": 1000, "seeds": [0]},
     ),
     "grad-check": (
         _cmd_grad_check,
         "compare analytic gradients against central finite differences",
         None,
         ("problem", "points", "tolerance", "seed"),
-        {"seed": 2024},
+        {},
     ),
     "memory": (
         _cmd_memory,
         "render the optimizer-state memory report for a shape manifest",
         None,
         ("manifest", "baseline", "scale", "width", "out"),
-        {},
+        {"scale": 1},
     ),
 }
 
@@ -321,8 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
         p_cmd = sub.add_parser(command, help=help_text, epilog=epilog)
         for name in names:
             # every value stays a string here and is parsed in _resolve
-            flag, _, _, option_help = _OPTIONS[name]
-            p_cmd.add_argument(flag, dest=name, default=None, help=option_help)
+            p_cmd.add_argument("--" + name.replace("_", "-"), help=_OPTIONS[name][1])
         p_cmd.add_argument("--config", type=str, default=None, help=CONFIG_HELP)
     return parser
 

@@ -47,8 +47,10 @@ class ShapeManifest:
         if not self.entries:
             raise ValueError("manifest must contain at least one entry")
         for name, dims in self.entries:
-            if len(dims) not in (1, 2) or any(d < 1 for d in dims):
-                raise ValueError(f"entry {name!r} has invalid dims {dims}")
+            try:
+                optimizers.storage_shape(dims)
+            except ValueError as exc:
+                raise ValueError(f"entry {name!r} has invalid dims: {exc}") from exc
 
     def total_parameters(self) -> int:
         return sum(math.prod(dims) for _, dims in self.entries)
@@ -145,12 +147,12 @@ def parse_manifest(text: str) -> ShapeManifest:
     return ShapeManifest(entries=tuple(entries))
 
 
-def load_manifest(name: str = "bert-large") -> ShapeManifest:
+def load_manifest(manifest: str = "bert-large") -> ShapeManifest:
     """The bundled manifest of that name, or else the manifest file at that path."""
-    if name in _MANIFEST_FILES:
-        source = resources.files("came_opt") / "manifests" / _MANIFEST_FILES[name]
+    if manifest in _MANIFEST_FILES:
+        source = resources.files("came_opt") / "manifests" / _MANIFEST_FILES[manifest]
     else:
-        source = Path(name)
+        source = Path(manifest)
     return parse_manifest(source.read_text("utf-8"))
 
 

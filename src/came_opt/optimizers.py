@@ -108,9 +108,9 @@ class OptimizerConfig:
 
 
 def storage_shape(dims: Tuple[int, ...]) -> Tuple[int, int]:
-    """Map logical dims to the 2-D storage shape (1-D becomes a column)."""
-    if len(dims) not in (1, 2):
-        raise ValueError(f"parameters must be 1-D or 2-D, got dims {dims}")
+    """Map positive 1-D or 2-D dims to the 2-D storage shape (1-D becomes a column)."""
+    if len(dims) not in (1, 2) or any(d < 1 for d in dims):
+        raise ValueError(f"parameters must be 1-D or 2-D with positive dims, got dims {dims}")
     return (dims[0], dims[1] if len(dims) == 2 else 1)
 
 
@@ -128,10 +128,7 @@ def state_shapes(variant: str, dims: Tuple[int, ...]) -> Dict[str, Tuple[int, in
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown optimizer {variant!r}, expected one of {VARIANTS}")
-    dims = tuple(int(d) for d in dims)
-    if any(d < 1 for d in dims):
-        raise ValueError(f"parameter dims must be positive, got {dims}")
-    rows, cols = storage_shape(dims)
+    rows, cols = storage_shape(tuple(int(d) for d in dims))
     shapes = {"m": (rows, cols)}
     if variant == "adam":
         shapes["v"] = (rows, cols)

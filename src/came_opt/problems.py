@@ -358,18 +358,23 @@ PROBLEM_BUILDERS = {
 }
 
 
+def problem_builder(name: str) -> Callable[..., Problem]:
+    """The registered builder of a problem id; an unknown id raises InvalidConfig("problem")."""
+    if name not in PROBLEM_BUILDERS:
+        raise InvalidConfig(
+            "problem", f"unknown problem {name!r}, expected one of {sorted(PROBLEM_BUILDERS)}"
+        )
+    return PROBLEM_BUILDERS[name]
+
+
 def build_problem(name: str, args: Optional[dict] = None) -> Problem:
     """Instantiate a registered problem by id with keyword overrides.
 
     An unknown id or rejected arguments raise InvalidConfig("problem"); the
     builder's own InvalidConfig, such as "seed", passes through unchanged.
     """
-    if name not in PROBLEM_BUILDERS:
-        raise InvalidConfig(
-            "problem", f"unknown problem {name!r}, expected one of {sorted(PROBLEM_BUILDERS)}"
-        )
     try:
-        return PROBLEM_BUILDERS[name](**(args or {}))
+        return problem_builder(name)(**(args or {}))
     except InvalidConfig:
         raise
     except (TypeError, ValueError) as exc:

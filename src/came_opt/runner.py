@@ -29,7 +29,7 @@ from .optimizers import (
     step_param,
     warmup_lr,
 )
-from .problems import build_problem, initial_params
+from .problems import build_problem, initial_params, problem_builder
 
 TRACE_HEADER = ("step", "loss", "grad_rms", "update_rms", "lr")
 
@@ -59,6 +59,8 @@ class RunConfig:
             )
         if self.threshold is not None and math.isnan(self.threshold):
             raise InvalidConfig("threshold", "must be a number, got nan")
+        # the name only: its arguments are checked when run builds the problem
+        problem_builder(self.problem)
 
 
 @dataclass(frozen=True)

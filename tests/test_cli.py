@@ -8,7 +8,9 @@ import pytest
 
 from came_opt import runner as runner_module
 from came_opt.cli import _HYPER, _HYPER_FIELD, _optimizer_config, main
+from came_opt.memory_model import load_manifest, render_table, report
 from came_opt.optimizers import OptimizerConfig
+from came_opt.problems import build_problem, gradient_report
 
 
 def run_cli(capsys, *argv):
@@ -200,6 +202,17 @@ def test_input_error_names_the_option_set(tmp_path, capsys, problem, argv, field
     assert code == 1
     assert read_error(err)["field"] == field
     assert not os.path.exists(out + "_trace.csv")
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_unknown_problem_is_reported_before_the_out_directory_is_made(tmp_path, capsys, command):
+    code, stdout, err = run_cli(
+        capsys, command, "--problem", "nope", "--out", str(tmp_path / "newdir" / "x")
+    )
+    assert code == 1
+    assert stdout == ""
+    assert read_error(err)["field"] == "problem"
+    assert not (tmp_path / "newdir").exists()
 
 
 def test_zero_steps_names_field(tmp_path, capsys):
@@ -466,3 +479,20 @@ def test_memory_cli_validates_width_scale_and_baseline(capsys):
     code, stdout, _ = run_cli(capsys, "memory", "--width", "2", "--baseline", "came")
     assert code == 0
     assert "state element width 2 B" in stdout and "vs came" in stdout
+
+
+def test_unset_options_take_the_library_defaults(tmp_path, capsys):
+    # the CLI restates none of the library's defaults, so each command with
+    # no option set prints and writes what the library calls give by default
+    code, stdout, _ = run_cli(capsys, "memory")
+    assert code == 0
+    assert stdout == render_table(report(load_manifest())) + "\n"
+    code, stdout, _ = run_cli(capsys, "grad-check", "--problem", "logreg")
+    assert code == 0
+    assert stdout.splitlines() == list(gradient_report(build_problem("logreg")).lines())
+    out = str(tmp_path / "d")
+    code, _, _ = run_cli(capsys, "run", "--problem", "rosenbrock", "--steps", "3", "--out", out)
+    assert code == 0
+    summary = json.loads(Path(out + "_summary.json").read_text())
+    assert summary["seed"] == 0
+    assert summary["optimizer_config"] == dataclasses.asdict(OptimizerConfig())

@@ -108,6 +108,9 @@ def test_parse_manifest_errors():
         parse_manifest("# nothing here\n")
     with pytest.raises(ValueError, match="invalid dims"):
         parse_manifest("w 0 4\n")
+    # the dims rule is optimizers.storage_shape's, and its message is carried
+    with pytest.raises(ValueError, match="invalid dims: .*1-D or 2-D"):
+        ShapeManifest(entries=(("w", (2, 3, 4)),))
 
 
 def test_load_manifest_roundtrip(tmp_path):
