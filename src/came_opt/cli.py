@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .memory_model import load_manifest, render_table, report, scale_manifest
 from .optimizers import VARIANTS, InvalidConfig, OptimizerConfig
@@ -192,7 +192,7 @@ def _run_configs(opts: Dict[str, object], optimizers: Sequence[str]) -> List[Run
 def _cmd_run(opts: Dict[str, object]) -> int:
     (config,) = _run_configs(opts, [opts["optimizer"]])
     out_prefix = _require(opts, "out")
-    _out_option(check_outputs, out_prefix, RUN_OUTPUTS)
+    check_outputs(out_prefix, RUN_OUTPUTS)
     result = run(config)
     thr = result.steps_to_threshold
     print(
@@ -200,18 +200,18 @@ def _cmd_run(opts: Dict[str, object]) -> int:
         f"steps_to_threshold={'-' if thr is None else thr} "
         f"state_elements={result.state_elements} total_wall_ms={result.total_wall_ms!r}"
     )
-    _write_outputs(write_run_outputs, result, out_prefix)
+    _print_written(write_run_outputs(result, out_prefix))
     return 0
 
 
 def _cmd_compare(opts: Dict[str, object]) -> int:
     configs = _run_configs(opts, [o.strip() for o in opts["optimizer"].split(",") if o.strip()])
     if opts.get("out"):
-        _out_option(check_outputs, opts["out"], COMPARE_OUTPUTS)
+        check_outputs(opts["out"], COMPARE_OUTPUTS)
     result = compare(configs, opts["seeds"])
     print(result.table())
     if opts.get("out"):
-        _write_outputs(write_compare_outputs, result, opts["out"])
+        _print_written(write_compare_outputs(result, opts["out"]))
     return 0
 
 
@@ -229,7 +229,7 @@ def _cmd_grad_check(opts: Dict[str, object]) -> int:
 def _cmd_memory(opts: Dict[str, object]) -> int:
     outputs = {"report": "_memory.json"}
     if opts.get("out"):
-        _out_option(check_outputs, opts["out"], outputs)
+        check_outputs(opts["out"], outputs)
     try:
         manifest = load_manifest(**_given(opts, "manifest"))
     except (OSError, ValueError) as exc:
@@ -237,20 +237,12 @@ def _cmd_memory(opts: Dict[str, object]) -> int:
     rep = report(scale_manifest(manifest, opts["scale"]), **_given(opts, "baseline", "width"))
     print(render_table(rep))
     if opts.get("out"):
-        _write_outputs(write_outputs, opts["out"], outputs, {"report": [rep.to_json()]})
+        _print_written(write_outputs(opts["out"], outputs, {"report": [rep.to_json()]}))
     return 0
 
 
-def _out_option(call: Callable[..., object], *args) -> object:
-    # a path under --out that cannot be written: checked before any work, and when written
-    try:
-        return call(*args)
-    except OSError as exc:
-        raise InvalidConfig("out", str(exc)) from exc
-
-
-def _write_outputs(write: Callable[..., Dict[str, str]], *args) -> None:
-    for kind, path in _out_option(write, *args).items():
+def _print_written(paths: Dict[str, str]) -> None:
+    for kind, path in paths.items():
         print(f"wrote {kind}: {path}")
 
 
@@ -323,7 +315,3 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, OSError) as exc:
         _emit_error(str(exc))
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -116,7 +116,10 @@ def make_rosenbrock() -> Problem:
 
     def loss(params: Params) -> float:
         x, y = float(params["xy"][0, 0]), float(params["xy"][1, 0])
-        return (1.0 - x) ** 2 + 100.0 * (y - x * x) ** 2
+        try:
+            return (1.0 - x) ** 2 + 100.0 * (y - x * x) ** 2
+        except OverflowError:  # float ** raises where numpy gives inf
+            return math.inf
 
     def grad(params: Params) -> Params:
         x, y = float(params["xy"][0, 0]), float(params["xy"][1, 0])
@@ -178,21 +181,31 @@ def make_logreg(n_samples: int = 512, n_features: int = 16, seed: int = 0) -> Pr
     )
 
 
-def mlp1_from_data(
-    in_dim: int, hidden_dim: int, out_dim: int, data: SyntheticDataset
+def make_mlp1(
+    in_dim: int = 16,
+    hidden_dim: int = 32,
+    out_dim: int = 1,
+    seed: int = 0,
+    n_samples: int = 512,
 ) -> Problem:
-    """One-hidden-layer tanh network with mean squared error on fixed data.
+    """Canonical regression test bed: tanh MLP with mean squared error on a seeded
+    teacher dataset, its gradients hand-derived backpropagation.
 
-    Gradients are hand-derived backpropagation. Exposed separately from
-    make_mlp1 so callers can supply their own inputs and targets.
+    The targets are produced by a random frozen network of the same shape
+    plus a little observation noise, so the objective is nonconvex but has
+    structure a trained network can fit.
     """
-    x, y = data.inputs, data.targets
-    if x.shape[1] != in_dim or y.shape[1] != out_dim or x.shape[0] != y.shape[0]:
-        raise ValueError(
-            f"dataset shapes {x.shape}/{y.shape} do not match dims "
-            f"in={in_dim}, out={out_dim}"
-        )
-    denom = float(x.shape[0] * out_dim)
+    if min(in_dim, hidden_dim, out_dim, n_samples) < 1:
+        raise ValueError("all dims and n_samples must be >= 1")
+    rng = rng_from_seed(seed)
+    x = rng.standard_normal((n_samples, in_dim))
+    w1_t = rng.standard_normal((in_dim, hidden_dim)) / math.sqrt(in_dim)
+    b1_t = 0.2 * rng.standard_normal((1, hidden_dim))
+    w2_t = rng.standard_normal((hidden_dim, out_dim)) / math.sqrt(hidden_dim)
+    b2_t = 0.2 * rng.standard_normal((1, out_dim))
+    y = np.tanh(x @ w1_t + b1_t) @ w2_t + b2_t
+    y = y + 0.05 * rng.standard_normal((n_samples, out_dim))
+    denom = float(n_samples * out_dim)
 
     def forward(params: Params):
         # in place on the fresh activations: tanh(x @ w1 + b1^T), one array
@@ -230,35 +243,8 @@ def mlp1_from_data(
         ),
         loss=loss,
         grad=grad,
-        dataset=data,
+        dataset=SyntheticDataset(inputs=x, targets=y),
     )
-
-
-def make_mlp1(
-    in_dim: int = 16,
-    hidden_dim: int = 32,
-    out_dim: int = 1,
-    seed: int = 0,
-    n_samples: int = 512,
-) -> Problem:
-    """Canonical regression test bed: tanh MLP on a seeded teacher dataset.
-
-    The targets are produced by a random frozen network of the same shape
-    plus a little observation noise, so the objective is nonconvex but has
-    structure a trained network can fit.
-    """
-    if min(in_dim, hidden_dim, out_dim, n_samples) < 1:
-        raise ValueError("all dims and n_samples must be >= 1")
-    rng = rng_from_seed(seed)
-    x = rng.standard_normal((n_samples, in_dim))
-    w1_t = rng.standard_normal((in_dim, hidden_dim)) / math.sqrt(in_dim)
-    b1_t = 0.2 * rng.standard_normal((1, hidden_dim))
-    w2_t = rng.standard_normal((hidden_dim, out_dim)) / math.sqrt(hidden_dim)
-    b2_t = 0.2 * rng.standard_normal((1, out_dim))
-    y = np.tanh(x @ w1_t + b1_t) @ w2_t + b2_t
-    y = y + 0.05 * rng.standard_normal((n_samples, out_dim))
-    data = SyntheticDataset(inputs=x, targets=y)
-    return mlp1_from_data(in_dim, hidden_dim, out_dim, data)
 
 
 # ---------------------------------------------------------------------------

@@ -201,30 +201,43 @@ COMPARE_OUTPUTS = {"csv": "_compare.csv", "json": "_compare.json"}
 
 
 def check_outputs(out_prefix: str, suffixes: Dict[str, str]) -> Dict[str, str]:
-    """Create each path's directory and return kind -> path; OSError if a path is a directory."""
+    """Return kind -> path, creating nothing. InvalidConfig("out") if a path is a
+    directory, or the nearest existing ancestor of its directory is not a
+    writable directory."""
     paths = {kind: out_prefix + suffix for kind, suffix in suffixes.items()}
     for path in paths.values():
-        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
         if os.path.isdir(path):
-            raise IsADirectoryError(f"{path} is a directory")
+            raise InvalidConfig("out", f"{path} is a directory")
+        ancestor = os.path.dirname(os.path.abspath(path))
+        while not os.path.exists(ancestor):
+            ancestor = os.path.dirname(ancestor)
+        if not os.path.isdir(ancestor):
+            raise InvalidConfig("out", f"{ancestor} is not a directory")
+        if not os.access(ancestor, os.W_OK):
+            raise InvalidConfig("out", f"{ancestor} is not writable")
     return paths
 
 
 def write_outputs(
     out_prefix: str, suffixes: Dict[str, str], lines: Dict[str, List[str]]
 ) -> Dict[str, str]:
-    """Write each kind's lines to out_prefix + its suffix through a temp file that is
-    renamed into place, or removed if the write fails. Returns kind -> path written."""
+    """Write each kind's lines to out_prefix + its suffix, making its directory, through
+    a temp file that is renamed into place, or removed if the write fails.
+    Returns kind -> path written; a failed write raises InvalidConfig("out")."""
     paths = check_outputs(out_prefix, suffixes)
-    for kind, path in paths.items():
-        tmp = f"{path}.tmp.{os.getpid()}"
-        try:
-            with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write("\n".join(lines[kind]) + "\n")
-            os.replace(tmp, path)
-        finally:
-            if os.path.exists(tmp):
-                os.remove(tmp)
+    try:
+        for kind, path in paths.items():
+            os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+            tmp = f"{path}.tmp.{os.getpid()}"
+            try:
+                with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+                    fh.write("\n".join(lines[kind]) + "\n")
+                os.replace(tmp, path)
+            finally:
+                if os.path.exists(tmp):
+                    os.remove(tmp)
+    except OSError as exc:
+        raise InvalidConfig("out", str(exc)) from exc
     return paths
 
 

@@ -238,7 +238,17 @@ OUT_COMMANDS = {
 }
 
 
-@pytest.mark.parametrize("blocked", ["prefix-under-a-file", "output-is-a-directory"])
+@pytest.mark.parametrize(
+    "blocked",
+    [
+        "prefix-under-a-file",
+        "output-is-a-directory",
+        pytest.param(
+            "read-only-directory",
+            marks=pytest.mark.skipif(os.geteuid() == 0, reason="root writes to read-only directories"),
+        ),
+    ],
+)
 @pytest.mark.parametrize("command", sorted(OUT_COMMANDS))
 def test_unwritable_out_names_the_option_and_leaves_no_temp_file(
     tmp_path, capsys, command, blocked
@@ -247,6 +257,9 @@ def test_unwritable_out_names_the_option_and_leaves_no_temp_file(
     if blocked == "prefix-under-a-file":
         (tmp_path / "file").write_text("")
         out = tmp_path / "file" / "x"
+    elif blocked == "read-only-directory":
+        out = tmp_path / "read-only" / "x"
+        out.parent.mkdir(mode=0o555)
     else:
         out = tmp_path / "x"
         Path(f"{out}{first_output}").mkdir()
@@ -255,6 +268,28 @@ def test_unwritable_out_names_the_option_and_leaves_no_temp_file(
     assert stdout == ""  # found before any work
     assert read_error(err)["field"] == "out"
     assert not list(tmp_path.rglob("*.tmp.*"))
+
+
+# commands that fail after their --out check, and the field each error names
+FAILING_COMMANDS = {
+    "repeated-seeds": (("compare", "--problem", "rosenbrock", "--seeds", "1,1"), "seeds"),
+    "empty-optimizer-list": (("compare", "--problem", "rosenbrock", "--optimizer", ","), "optimizer"),
+    "bad-problem-argument": (("run", "--problem", "quadratic:dim=2.5"), "problem"),
+    "missing-manifest": (("memory", "--manifest", "no-such-manifest.json"), "manifest"),
+    "diverged-run": (
+        ("run", "--problem", "rosenbrock", "--optimizer", "adam", "--lr", "1e80", "--steps", "3"),
+        None,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAILING_COMMANDS))
+def test_failed_command_leaves_nothing_on_disk(tmp_path, capsys, case):
+    argv, field = FAILING_COMMANDS[case]
+    code, _, err = run_cli(capsys, *argv, "--out", str(tmp_path / "new" / "x"))
+    assert code == 1
+    assert read_error(err).get("field") == field
+    assert not list(tmp_path.iterdir())
 
 
 def test_bad_problem_spec_reported(tmp_path, capsys):

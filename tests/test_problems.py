@@ -8,7 +8,6 @@ from came_opt.optimizers import InvalidConfig, OptimizerConfig, make_state, step
 from came_opt.problems import (
     PROBLEM_BUILDERS,
     Problem,
-    SyntheticDataset,
     build_problem,
     finite_diff_grad,
     gradient_report,
@@ -17,7 +16,6 @@ from came_opt.problems import (
     make_mlp1,
     make_quadratic,
     make_rosenbrock,
-    mlp1_from_data,
     rng_from_seed,
 )
 
@@ -86,6 +84,12 @@ def test_rosenbrock_gradient_vs_finite_differences():
     np.testing.assert_allclose(analytic, numeric, rtol=1e-8, atol=1e-8)
 
 
+def test_rosenbrock_loss_overflow_is_inf():
+    # float ** 2 raises OverflowError where numpy would give inf
+    p = make_rosenbrock()
+    assert p.loss({"xy": np.array([[1e200], [0.0]])}) == math.inf
+
+
 def test_rosenbrock_seeded_start_near_classic_corner():
     p = make_rosenbrock()
     a = initial_params(p, 3)
@@ -141,19 +145,20 @@ def test_logreg_dataset_seed_contract():
 
 
 def test_mlp_zero_network_zero_targets():
-    rng = rng_from_seed(0)
-    data = SyntheticDataset(inputs=rng.standard_normal((32, 4)), targets=np.zeros((32, 2)))
-    p = mlp1_from_data(4, 8, 2, data)
+    # the zero network predicts zero targets: the loss is the targets' mean square
+    p = make_mlp1(4, 8, 2, n_samples=32)
+    y = p.dataset.targets
     zero = {
         "w1": np.zeros((4, 8)),
         "b1": np.zeros((8, 1)),
         "w2": np.zeros((8, 2)),
         "b2": np.zeros((2, 1)),
     }
-    assert p.loss(zero) == 0.0
+    assert p.loss(zero) == pytest.approx(np.mean(y**2), rel=1e-14)
     grads = p.grad(zero)
-    for g in grads.values():
-        np.testing.assert_array_equal(g, np.zeros_like(g))
+    for name in ("w1", "b1", "w2"):
+        np.testing.assert_array_equal(grads[name], np.zeros_like(grads[name]))
+    np.testing.assert_allclose(grads["b2"][:, 0], -2.0 * y.mean(axis=0) / 2, rtol=1e-14)
 
 
 def test_mlp_gradient_check():
